@@ -1,6 +1,8 @@
 #include "baselines/gossip_trust.h"
 
-#include "gossip/vector_engine.h"
+#include <utility>
+
+#include "gossip/sparse_vector_engine.h"
 
 namespace dgt {
 
@@ -15,19 +17,32 @@ Result<GossipTrustResult> AggregateGossipTrust(const Graph& graph,
 
   // The paper's eq. (8) family: R_j = sum_i t_ij / N — every node carries
   // gossip weight 1 for every column, so the ratio converges to the mean
-  // over ALL N nodes (strangers implicitly vote 0).
-  std::vector<std::vector<double>> y0(num, std::vector<double>(num, 0.0));
-  std::vector<std::vector<double>> g0(num, std::vector<double>(num, 1.0));
+  // over ALL N nodes (strangers implicitly vote 0). Full rows, so every
+  // column is present at every node.
+  std::vector<SparseVectorRow> init(num);
   for (NodeId i = 0; i < num; ++i) {
-    for (const auto& [j, t] : trust.Row(i)) y0[i][j] = t;
+    SparseVectorRow& row = init[i];
+    row.cols.resize(num);
+    row.y.assign(num, 0.0);
+    row.g.assign(num, 1.0);
+    for (NodeId j = 0; j < num; ++j) row.cols[j] = j;
+    for (const auto& [j, t] : trust.Row(i)) row.y[j] = t;
   }
-  VectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0));
+  SparseVectorPushSum engine(&graph, options.gossip);
+  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
+                       engine.Run(std::move(init), /*use_count=*/false));
 
   GossipTrustResult out;
-  out.estimates = std::move(run.estimates);
-  out.stats = {run.steps, run.converged, run.gossip_messages,
-               run.control_messages, run.mean_messages_per_active_node_step};
+  // Densify; a column without gossip weight reads as the sentinel.
+  out.estimates.assign(
+      num, std::vector<double>(num, options.gossip.ratio_sentinel));
+  for (NodeId i = 0; i < num; ++i) {
+    const auto& row = run.rows[i];
+    for (size_t k = 0; k < row.cols.size(); ++k) {
+      out.estimates[i][row.cols[k]] = row.estimates[k];
+    }
+  }
+  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   out.global.assign(num, 0.0);
   for (uint32_t j = 0; j < num; ++j) {
     double acc = 0.0;

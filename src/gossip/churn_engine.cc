@@ -2,25 +2,20 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <cmath>
-#include <numeric>
-#include <utility>
 
 #include "common/thread_pool.h"
+#include "gossip/gossip_state.h"
 #include "gossip/step_plan.h"
 
 namespace dgt {
 
 namespace {
 
-// Mutable per-node protocol state.
+// Mutable per-node protocol state (the gossip pair lives in `mass`).
 struct NodeState {
-  double y = 0.0;
-  double g = 0.0;
   double prev_ratio = 0.0;
   uint32_t streak = 0;
-  uint32_t senders = 0;
   uint8_t alive = 0;
   uint8_t converged = 0;
   uint8_t stopped = 0;
@@ -38,8 +33,11 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   if (y0.size() != n0 || g0.size() != n0) {
     return Status::InvalidArgument("y0/g0 must match the initial graph");
   }
-  if (gossip_.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
+  for (double g : g0) {
+    if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
+  }
+  if (!IsValidXi(gossip_.xi)) {
+    return Status::InvalidArgument("xi must be finite and positive");
   }
   if (churn_.leave_prob < 0.0 || churn_.leave_prob >= 1.0) {
     return Status::InvalidArgument("leave_prob must lie in [0, 1)");
@@ -57,11 +55,14 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   for (NodeId u = 0; u < n0; ++u) adj[u] = initial_.Neighbors(u);
 
   std::vector<NodeState> node(n0);
+  // Gossip pairs, merged through the scalar value policy (the count
+  // channel stays unused).
+  const ScalarGossipPolicy policy(gossip_.ratio_sentinel, false);
+  std::vector<ScalarGossipPolicy::Value> mass(n0), merged;
   double total_y = 0.0, total_g = 0.0;
   for (NodeId u = 0; u < n0; ++u) {
     node[u].alive = 1;
-    node[u].y = y0[u];
-    node[u].g = g0[u];
+    mass[u] = {y0[u], g0[u], 0.0};
     total_y += y0[u];
     total_g += g0[u];
   }
@@ -73,29 +74,9 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   }
 
   auto ratio_of = [&](NodeId i) {
-    return node[i].g != 0.0 ? node[i].y / node[i].g : gossip_.ratio_sentinel;
+    return policy.Ratio(mass[i].y, mass[i].g);
   };
   for (NodeId u = 0; u < n0; ++u) node[u].prev_ratio = ratio_of(u);
-
-  auto push_count = [&](NodeId u) -> uint32_t {
-    if (gossip_.strategy != PushStrategy::kDifferential) return 1;
-    if (adj[u].empty()) return 1;
-    uint64_t sum = 0;
-    for (NodeId v : adj[u]) sum += adj[v].size();
-    double avg = static_cast<double>(sum) / adj[u].size();
-    if (avg <= 0.0) return 1;
-    double r = static_cast<double>(adj[u].size()) / avg;
-    if (r < 1.0) return 1;
-    switch (gossip_.k_rounding) {
-      case KRounding::kFloor:
-        return static_cast<uint32_t>(std::floor(r));
-      case KRounding::kCeil:
-        return static_cast<uint32_t>(std::ceil(r));
-      case KRounding::kRound:
-        break;
-    }
-    return static_cast<uint32_t>(std::lround(r));
-  };
 
   auto depart = [&](NodeId u) {
     // Handover: the leaving node passes its gossip pair to a live
@@ -124,14 +105,12 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
       }
     }
     if (heir != u) {
-      node[heir].y += node[u].y;
-      node[heir].g += node[u].g;
+      ScalarGossipPolicy::Absorb(mass[heir], mass[u]);
       ++res.control_messages;  // the handover message
     }
     // else: last node standing departs with its mass; nothing to do.
     node[u].alive = 0;
-    node[u].y = 0.0;
-    node[u].g = 0.0;
+    mass[u] = {};
     for (NodeId v : adj[u]) {
       auto& lst = adj[v];
       lst.erase(std::remove(lst.begin(), lst.end(), u), lst.end());
@@ -156,11 +135,10 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     adj.emplace_back();
     NodeState& fresh = node.back();
     fresh.alive = 1;
-    fresh.y = churn_rng.NextDouble();
-    fresh.g = 1.0;
-    total_y += fresh.y;
+    mass.push_back({churn_rng.NextDouble(), 1.0, 0.0});
+    total_y += mass.back().y;
     total_g += 1.0;
-    fresh.prev_ratio = fresh.y;
+    fresh.prev_ratio = mass.back().y;
 
     uint32_t m = std::min<uint32_t>(churn_.join_edges,
                                     static_cast<uint32_t>(live.size()));
@@ -188,13 +166,13 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     }
   };
 
-  // Two-phase step state (see step_plan.h; the churn engine keeps its own
-  // planner because membership and adjacency are dynamic).
-  std::vector<std::vector<PlanEntry>> inbox;
-  std::vector<uint32_t> k_used;
-  std::vector<double> in_y, in_g;
+  // Two-phase step state (see step_plan.h).
+  StepPlan plan;
   std::vector<uint32_t> push_counts;
-  std::vector<NodeId> targets;
+  // Departed, stopped, or left without neighbours: such a node neither
+  // pushes nor accepts pushes (every push target is a live neighbour, so
+  // for a target this reduces to "stopped").
+  std::vector<uint8_t> inactive;
   uint32_t step = 0;
   uint32_t live_unstopped = n0;
 
@@ -226,99 +204,30 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     }
 
     const uint32_t n = static_cast<uint32_t>(node.size());
-    // k_i over the current overlay: no randomness involved, so it
-    // precomputes sharded (reads adjacency only).
-    push_counts.assign(n, 1);
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const NodeState& s = node[i];
-        if (!s.alive || s.stopped || adj[i].empty()) continue;
-        push_counts[i] = push_count(static_cast<NodeId>(i));
-      }
-    });
+    inactive.resize(n);
+    for (NodeId i = 0; i < n; ++i) {
+      const NodeState& s = node[i];
+      inactive[i] = !s.alive || s.stopped || adj[i].empty();
+    }
+    // k_i over the current overlay.
+    push_counts = PushCounts(adj, gossip_.strategy, gossip_.k_rounding);
 
     // Phase A: draw pushes and bin deliveries per receiver, ascending-
-    // sender order (see step_plan.h). A push bounces back to the sender
-    // when the target has stopped or departed, or the packet is lost.
-    inbox.resize(n);
-    for (auto& box : inbox) box.clear();
-    k_used.assign(n, 0);
-    for (auto& s : node) s.senders = 0;
-    // The shared DrawNodePushes helper (step_plan.h) keeps the RNG
-    // consumption order uniform across engines; only the bounce
-    // predicate differs (dynamic membership: stopped OR departed).
-    auto bounces = [&](NodeId t) {
-      return node[t].stopped || !node[t].alive;
-    };
-    if (gossip_.rng_mode == GossipRngMode::kSequential) {
-      for (NodeId i = 0; i < n; ++i) {
-        const NodeState& s = node[i];
-        if (!s.alive || s.stopped || adj[i].empty()) continue;
-        k_used[i] = DrawNodePushes(
-            adj[i], push_counts[i], gossip_.packet_loss_prob, i, rng,
-            targets, bounces,
-            [&](NodeId t, PlanEntry e) { inbox[t].push_back(e); });
-      }
-    } else {
-      // Counter mode: per-(node, step) streams; node ids are never
-      // reused, so a joined node's streams are fresh. Draws shard across
-      // the pool into per-shard buffers, binned in shard order (ascending
-      // senders) exactly like BuildStepPlan.
-      const size_t num_shards = pool.NumShards(n);
-      std::vector<std::vector<std::pair<NodeId, PlanEntry>>> shard_out(
-          num_shards);
-      pool.ParallelFor(n, [&](size_t shard, size_t begin, size_t end) {
-        auto& out = shard_out[shard];
-        std::vector<NodeId> local_targets;
-        for (size_t idx = begin; idx < end; ++idx) {
-          const NodeId i = static_cast<NodeId>(idx);
-          const NodeState& s = node[i];
-          if (!s.alive || s.stopped || adj[i].empty()) continue;
-          Rng r = rng.StreamAt(i, step);
-          k_used[i] = DrawNodePushes(
-              adj[i], push_counts[i], gossip_.packet_loss_prob, i, r,
-              local_targets, bounces,
-              [&](NodeId t, PlanEntry e) { out.emplace_back(t, e); });
-        }
-      });
-      for (const auto& out : shard_out) {
-        for (const auto& [receiver, entry] : out) {
-          inbox[receiver].push_back(entry);
-        }
-      }
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      res.gossip_messages += k_used[i];
-      for (const PlanEntry& e : inbox[i]) {
-        if (e.sender != i) ++node[i].senders;
-      }
-    }
+    // sender order. Node ids are never reused, so in counter mode a
+    // joined node's per-(node, step) streams are fresh.
+    BuildStepPlan(adj, gossip_, push_counts, inactive, step, rng, rng, pool,
+                  plan);
+    res.gossip_messages += plan.pushes;
 
-    // Phase B: per-receiver accumulation (ascending-sender order — the
-    // serial engine's float order). Reads only previous-step node values;
-    // writes land in in_y/in_g until the apply pass installs them.
-    in_y.assign(n, 0.0);
-    in_g.assign(n, 0.0);
+    // Phase B: each receiver folds its inbox (ascending-sender order)
+    // with the synchronous engines' merge arithmetic; the apply pass
+    // installs the result.
+    merged.resize(n);
     pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        const NodeState& s = node[i];
-        if (!s.alive || s.stopped || inbox[i].empty()) continue;
-        double acc_y = 0.0, acc_g = 0.0;
-        for (const PlanEntry& e : inbox[i]) {
-          const double denom = static_cast<double>(k_used[e.sender]) + 1.0;
-          const double sy = node[e.sender].y / denom;
-          const double sg = node[e.sender].g / denom;
-          double ty = sy, tg = sg;
-          for (uint32_t sh = 1; sh < e.shares; ++sh) {
-            ty += sy;
-            tg += sg;
-          }
-          acc_y += ty;
-          acc_g += tg;
-        }
-        in_y[i] = acc_y;
-        in_g[i] = acc_g;
+      ScalarGossipPolicy::Scratch scratch;
+      for (size_t i = begin; i < end; ++i) {
+        if (inactive[i]) continue;
+        policy.Merge(static_cast<NodeId>(i), plan, mass, merged[i], scratch);
       }
     });
 
@@ -335,11 +244,10 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
           s.stopped = 1;
           continue;
         }
-        s.y = in_y[i];
-        s.g = in_g[i];
-        double r = s.g != 0.0 ? s.y / s.g : gossip_.ratio_sentinel;
+        mass[i] = merged[i];
+        const double r = ratio_of(i);
         if (!s.converged) {
-          if (s.senders >= 1 && s.g != 0.0) {
+          if (plan.senders[i] >= 1 && mass[i].g != 0.0) {
             s.streak =
                 std::fabs(r - s.prev_ratio) <= gossip_.xi ? s.streak + 1 : 0;
           }

@@ -1,0 +1,231 @@
+// Value policies for the push-sum executors: the per-node state, how it
+// splits and merges, and the convergence metric. Each executor is written
+// once and instantiated per policy — scalar (paper variants 1/2) and CSR
+// sparse rows (vector variants 3/4):
+//   RunPushSum (gossip/push_sum.h) — synchronous rounds; each receiver
+//     folds its whole inbox at once through Merge.
+//   AsyncEventEngine (net/async_engine.h) — event-driven; shares arrive
+//     one at a time through Split/Absorb.
+//
+// Asynchronous interface (static):
+//   Value / Share / Snapshot — node-resident mass, an in-flight message
+//     (sparse shares alias one immutable snapshot of the sender's row,
+//     freed when the last receiver absorbs it), and what the convergence
+//     test compares across firings.
+//   Split(v, k) — split v into k+1 equal shares; v keeps one, the
+//     returned Share is sent. Absorb(v, s) — merge an arriving share.
+//   HasWeight(v) — any gossip weight present (the evidence gate).
+//   TakeSnapshot(v, sentinel), Distance(a, b) — the current estimate and
+//     the L1 distance between two (zero-weight columns sit at the ratio
+//     sentinel, the paper's eq. (7)).
+//   ConvergenceThreshold(n, xi) — xi for scalar, n * xi for vectors.
+//
+// Synchronous interface (on an instance, which carries the run's
+// sentinel, count-channel switch and bookkeeping):
+//   Scratch — per-shard merge workspace.
+//   BeginStep(plan, stopped, state) — after push generation.
+//   Merge(i, plan, state, out, scratch) -> MergeOutcome — fold receiver
+//     i's inbox (ascending-sender order) into `out` and measure the change
+//     from i's current state; called concurrently for distinct receivers.
+//   EndStep(plan, stopped) — after every receiver merged, serially.
+// Each Merge keeps the historical engine's arithmetic verbatim.
+
+#ifndef DGT_GOSSIP_GOSSIP_STATE_H_
+#define DGT_GOSSIP_GOSSIP_STATE_H_
+
+#include <atomic>
+#include <cmath>
+#include <cstdint>
+#include <memory>
+#include <vector>
+
+#include "common/status.h"
+#include "gossip/step_plan.h"
+#include "graph/graph.h"
+
+namespace dgt {
+
+// What a synchronous Merge reports for the convergence-evidence rule.
+struct MergeOutcome {
+  double change = 0.0;      // distance from the node's previous estimate
+  bool has_weight = false;  // any gossip weight in the merged state
+};
+
+// --- Scalar (paper variants 1/2: one value per node) -------------------
+
+class ScalarGossipPolicy {
+ public:
+  // c is the optional count channel (zero when unused).
+  struct Value {
+    double y = 0.0;
+    double g = 0.0;
+    double c = 0.0;
+  };
+  using Share = Value;
+  using Snapshot = double;
+  struct Scratch {};
+
+  static Share Split(Value& v, uint32_t k) {
+    const double inv = 1.0 / (static_cast<double>(k) + 1.0);
+    v = Value{v.y * inv, v.g * inv, v.c * inv};
+    return v;
+  }
+  static void Absorb(Value& v, const Share& s) {
+    v.y += s.y;
+    v.g += s.g;
+    v.c += s.c;
+  }
+  static bool HasWeight(const Value& v) { return v.g != 0.0; }
+  static Snapshot TakeSnapshot(const Value& v, double sentinel) {
+    return v.g != 0.0 ? v.y / v.g : sentinel;
+  }
+  static double Distance(const Snapshot& a, const Snapshot& b) {
+    return std::fabs(a - b);
+  }
+  static double ConvergenceThreshold(uint32_t /*n*/, double xi) { return xi; }
+
+  ScalarGossipPolicy(double sentinel, bool use_count)
+      : sentinel_(sentinel), use_count_(use_count) {}
+
+  void BeginStep(const StepPlan&, const std::vector<uint8_t>&,
+                 const std::vector<Value>&) {}
+  void EndStep(const StepPlan&, const std::vector<uint8_t>&) {}
+
+  // Each share is the sender's channel divided by k+1; a kept-self entry
+  // carrying bounced pushes adds that share repeatedly (not a multiply).
+  // The change is |ratio - previous ratio|, plus the count-channel term.
+  MergeOutcome Merge(NodeId i, const StepPlan& plan,
+                     const std::vector<Value>& state, Value& out,
+                     Scratch&) const {
+    double acc_y = 0.0, acc_g = 0.0, acc_c = 0.0;
+    for (const PlanEntry& e : plan.inbox[i]) {
+      const double denom = static_cast<double>(plan.k_used[e.sender]) + 1.0;
+      const Value& src = state[e.sender];
+      const double sy = src.y / denom;
+      const double sg = src.g / denom;
+      const double sc = use_count_ ? src.c / denom : 0.0;
+      double ty = sy, tg = sg, tc = sc;
+      for (uint32_t s = 1; s < e.shares; ++s) {
+        ty += sy;
+        tg += sg;
+        tc += sc;
+      }
+      acc_y += ty;
+      acc_g += tg;
+      acc_c += tc;
+    }
+    out = Value{acc_y, acc_g, acc_c};
+    const Value& old = state[i];
+    double change = std::fabs(Ratio(acc_y, acc_g) - Ratio(old.y, old.g));
+    if (use_count_) {
+      change += std::fabs(Ratio(acc_c, acc_g) - Ratio(old.c, old.g));
+    }
+    return {change, acc_g != 0.0};
+  }
+
+  double Ratio(double num, double g) const {
+    return g != 0.0 ? num / g : sentinel_;
+  }
+
+ private:
+  double sentinel_;
+  bool use_count_;
+};
+
+// --- CSR sparse row (vector variants 3/4) ------------------------------
+
+// One node's gossip state: sorted sparse (column, y, g[, c]) entries.
+// `cols` is strictly increasing; `y`/`g` (and `c` when the count channel
+// is active) are parallel to it. Absent columns hold exact zeros.
+struct SparseVectorRow {
+  std::vector<uint32_t> cols;
+  std::vector<double> y;
+  std::vector<double> g;
+  std::vector<double> c;  // empty when the count channel is unused
+
+  size_t nnz() const { return cols.size(); }
+};
+
+// Checks an initial state for the sparse executors: exactly num_nodes
+// rows; per row, y/g parallel to cols, c parallel iff use_count, cols
+// strictly increasing in [0, num_nodes), and no negative gossip weight.
+Status ValidateSparseRows(uint32_t num_nodes,
+                          const std::vector<SparseVectorRow>& rows,
+                          bool use_count);
+
+class SparseVectorGossipPolicy {
+ public:
+  using Value = SparseVectorRow;
+  struct Share {
+    std::shared_ptr<const SparseVectorRow> row;
+    double scale = 0.0;
+  };
+  // Sorted sparse estimate: ratio per present column; absent columns are
+  // implicitly at the sentinel (recorded so Distance can evaluate
+  // one-sided columns).
+  struct Snapshot {
+    std::vector<uint32_t> cols;
+    std::vector<double> r;
+    std::vector<double> rc;  // parallel to cols when the count channel runs
+    double sentinel = 0.0;
+  };
+  struct MergeCursor {
+    const SparseVectorRow* src;
+    size_t pos;
+    double scale;
+    bool is_self;
+  };
+  struct Scratch {
+    std::vector<MergeCursor> cursors;
+  };
+
+  static Share Split(Value& v, uint32_t k);
+  static void Absorb(Value& v, const Share& s);
+  static bool HasWeight(const Value& v);
+  static Snapshot TakeSnapshot(const Value& v, double sentinel);
+  // Two-pointer union walk; a column present in only one snapshot
+  // contributes |ratio - sentinel| exactly like the synchronous merge's
+  // L1 test.
+  static double Distance(const Snapshot& a, const Snapshot& b);
+  static double ConvergenceThreshold(uint32_t n, double xi) {
+    return static_cast<double>(n) * xi;
+  }
+
+  // `init` is the run's initial state (its nonzeros seed the peak).
+  SparseVectorGossipPolicy(const std::vector<SparseVectorRow>& init,
+                           double sentinel, bool use_count);
+
+  // Counts each previous-step row's consumers for the release below.
+  void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
+                 const std::vector<Value>& state);
+  // k-way sorted-column walk over receiver i's inbox: each cursor scales
+  // its source row by shares * 1/(k+1); cost follows the nonzeros
+  // contributed, not N. The change is eq. (7)'s L1 sum over the merged
+  // columns (absent columns contribute exact zeros). Releases every
+  // previous-step row whose last consumer this merge was, so the live
+  // footprint stays near one copy of the state.
+  MergeOutcome Merge(NodeId i, const StepPlan& plan,
+                     std::vector<Value>& state, Value& out, Scratch& scratch);
+  // Replays the serial receiver-order bookkeeping (merge row i, then
+  // release the rows whose last consumer was i) so peak_state_nonzeros is
+  // identical at every thread count.
+  void EndStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
+
+  // Peak sum of per-row nonzeros across all steps.
+  uint64_t peak_state_nonzeros() const { return peak_nnz_; }
+
+ private:
+  double sentinel_;
+  bool use_count_;
+  // Live consumer counts of previous-step rows (atomic: under a threaded
+  // merge the last consumer may finish on any worker).
+  std::vector<std::atomic<uint32_t>> refs_;
+  std::vector<uint32_t> replay_refs_;
+  std::vector<uint64_t> prev_nnz_, merged_nnz_;
+  uint64_t total_nnz_ = 0;
+  uint64_t peak_nnz_ = 0;
+};
+
+}  // namespace dgt
+
+#endif  // DGT_GOSSIP_GOSSIP_STATE_H_

@@ -3,6 +3,7 @@
 #ifndef DGT_GOSSIP_OPTIONS_H_
 #define DGT_GOSSIP_OPTIONS_H_
 
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -36,6 +37,10 @@ enum class GossipRngMode {
   kCounter,
 };
 
+// A usable convergence tolerance is finite and positive. A NaN xi fails
+// every comparison, so no node could ever converge under it.
+inline bool IsValidXi(double xi) { return std::isfinite(xi) && xi > 0.0; }
+
 struct GossipOptions {
   PushStrategy strategy = PushStrategy::kDifferential;
 
@@ -45,7 +50,7 @@ struct GossipOptions {
 
   // Convergence tolerance xi: a node declares itself converged when its
   // ratio changed by at most xi since the previous step (and it heard from
-  // at least one other node that step).
+  // at least one other node that step). Must satisfy IsValidXi.
   double xi = 1e-4;
 
   // Consecutive qualifying steps required before a node announces
@@ -86,14 +91,9 @@ struct GossipOptions {
   double ratio_sentinel = 10.0;
 };
 
-// Outcome of a scalar push-sum run.
-struct GossipResult {
-  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
-  std::vector<double> ratios;
-  std::vector<double> values;   // final y_i
-  std::vector<double> weights;  // final g_i
-  std::vector<double> counts;   // final count channel (zero if unused)
-
+// Protocol outcome of a synchronous push-sum run; every engine result and
+// GossipRunStats extend it.
+struct PushSumStats {
   uint32_t steps = 0;
   bool converged = false;
 
@@ -102,9 +102,6 @@ struct GossipResult {
   uint64_t gossip_messages = 0;
   // One-time degree announcements plus convergence announcements.
   uint64_t control_messages = 0;
-
-  // trace[m][i] = ratio of node i after step m (only if track_trace).
-  std::vector<std::vector<double>> trace;
 
   // Mean over nodes of (messages the node transmitted, gossip + control) /
   // (steps the node was active before stopping) — the Table 2 metric.
@@ -119,6 +116,18 @@ struct GossipResult {
     return static_cast<double>(gossip_messages + control_messages) /
            (static_cast<double>(num_nodes) * static_cast<double>(steps));
   }
+};
+
+// Outcome of a scalar push-sum run.
+struct GossipResult : PushSumStats {
+  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
+  std::vector<double> ratios;
+  std::vector<double> values;   // final y_i
+  std::vector<double> weights;  // final g_i
+  std::vector<double> counts;   // final count channel (zero if unused)
+
+  // trace[m][i] = ratio of node i after step m (only if track_trace).
+  std::vector<std::vector<double>> trace;
 };
 
 }  // namespace dgt

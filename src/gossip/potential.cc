@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/thread_pool.h"
+#include "gossip/step_plan.h"
 
 namespace dgt {
 
@@ -15,10 +16,13 @@ Result<PotentialTrace> TrackPotential(const Graph& graph,
 
   ThreadPool pool(num_threads);
 
-  std::vector<uint32_t> k(n, 1);
-  if (strategy == PushStrategy::kDifferential) {
-    for (NodeId u = 0; u < n; ++u) k[u] = graph.DifferentialPushCount(u);
-  }
+  // The engines' push generation (default options: serial draws from
+  // `rng`, no loss); isolated nodes are inactive.
+  const GossipOptions options{};
+  const std::vector<uint32_t> k =
+      PushCounts(graph.Adjacency(), strategy, KRounding::kRound);
+  std::vector<uint8_t> isolated(n);
+  for (NodeId u = 0; u < n; ++u) isolated[u] = graph.Degree(u) == 0;
 
   // c[j*n + i] = contribution of node i's initial mass held at node j.
   const size_t nn = static_cast<size_t>(n) * n;
@@ -53,48 +57,31 @@ Result<PotentialTrace> TrackPotential(const Graph& graph,
   trace.psi.reserve(steps + 1);
   trace.psi.push_back(potential());  // = N - 1 exactly at n = 0
 
-  // Phase-A plan: per receiver row, the contributing source rows (sender,
-  // scale) in ascending-sender order with the kept share at the sender's
-  // own slot — the same deterministic merge shape as the engines.
-  struct Contribution {
-    NodeId sender;
-    double scale;
-  };
-  std::vector<std::vector<Contribution>> inbox(n);
-  std::vector<NodeId> targets;
+  // Per receiver row, the contributing source rows in ascending-sender
+  // order with the kept share at the sender's own slot (step_plan.h).
+  StepPlan plan;
   for (uint32_t m = 0; m < steps; ++m) {
-    for (auto& box : inbox) box.clear();
-    for (NodeId j = 0; j < n; ++j) {
-      const auto& nbrs = graph.Neighbors(j);
-      const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-      if (deg == 0) {
-        inbox[j].push_back({j, 1.0});  // isolated: row carries over intact
-        continue;
-      }
-      const uint32_t kk = std::min(k[j], deg);
-      const double inv = 1.0 / (static_cast<double>(kk) + 1.0);
-      targets.clear();
-      if (kk == 1) {
-        targets.push_back(nbrs[rng.NextBelow(deg)]);
-      } else {
-        for (uint32_t idx : rng.SampleWithoutReplacement(deg, kk)) {
-          targets.push_back(nbrs[idx]);
-        }
-      }
-      inbox[j].push_back({j, inv});
-      for (NodeId t : targets) inbox[t].push_back({j, inv});
-    }
+    BuildStepPlan(graph.Adjacency(), options, k, isolated, m + 1, rng, rng,
+                  pool, plan);
 
     // Phase B: every receiver row accumulates its contributions in
-    // ascending-sender order; rows are independent, so they shard.
+    // ascending-sender order; rows are independent, so they shard. An
+    // isolated node's row carries over intact.
     pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
       for (size_t r = begin; r < end; ++r) {
         const size_t row = r * n;
+        if (isolated[r]) {
+          std::copy(c.begin() + row, c.begin() + row + n, in.begin() + row);
+          continue;
+        }
         std::fill(in.begin() + row, in.begin() + row + n, 0.0);
-        for (const Contribution& con : inbox[r]) {
-          const size_t srow = static_cast<size_t>(con.sender) * n;
+        for (const PlanEntry& e : plan.inbox[r]) {
+          const double scale =
+              static_cast<double>(e.shares) /
+              (static_cast<double>(plan.k_used[e.sender]) + 1.0);
+          const size_t srow = static_cast<size_t>(e.sender) * n;
           for (uint32_t i = 0; i < n; ++i) {
-            in[row + i] += c[srow + i] * con.scale;
+            in[row + i] += c[srow + i] * scale;
           }
         }
       }

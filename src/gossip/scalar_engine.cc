@@ -1,26 +1,19 @@
 #include "gossip/scalar_engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cmath>
-#include <string>
+#include <utility>
 
 #include "common/thread_pool.h"
-#include "gossip/step_plan.h"
+#include "gossip/gossip_state.h"
+#include "gossip/push_sum.h"
 
 namespace dgt {
 
 ScalarPushSum::ScalarPushSum(const Graph* graph, GossipOptions options)
     : graph_(graph), options_(options) {
   assert(graph_ != nullptr);
-  const uint32_t n = graph_->num_nodes();
-  push_counts_.resize(n, 1);
-  if (options_.strategy == PushStrategy::kDifferential) {
-    for (NodeId u = 0; u < n; ++u) {
-      push_counts_[u] = graph_->DifferentialPushCount(u, options_.k_rounding);
-    }
-  }
+  push_counts_ = PushCounts(graph_->Adjacency(), options_.strategy,
+                            options_.k_rounding);
 }
 
 Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
@@ -37,214 +30,36 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
   for (double g : g0) {
     if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
   }
-  if (options_.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
-  }
 
-  Rng rng(options_.seed);
-  ThreadPool pool(options_.num_threads);
+  using Value = ScalarGossipPolicy::Value;
+  std::vector<Value> state(n);
+  for (NodeId i = 0; i < n; ++i) {
+    state[i] = {y0[i], g0[i], use_count ? c0[i] : 0.0};
+  }
+  ScalarGossipPolicy policy(options_.ratio_sentinel, use_count);
   GossipResult res;
-  res.values = y0;
-  res.weights = g0;
-  res.counts = use_count ? c0 : std::vector<double>(n, 0.0);
-
-  std::vector<double>& y = res.values;
-  std::vector<double>& g = res.weights;
-  std::vector<double>& c = res.counts;
-
-  // Next-step state, installed after every receiver has merged (Phase B
-  // reads other nodes' previous values, so it cannot update in place).
-  std::vector<double> next_y(n), next_g(n), next_c(use_count ? n : 0);
-  std::vector<uint8_t> converged(n, 0), stopped(n, 0);
-  // Consecutive qualifying steps towards the convergence announcement.
-  std::vector<uint32_t> streak(n, 0);
-  // Per-node accounting for the Table 2 metric.
-  std::vector<uint64_t> node_sent(n, 0);
-  std::vector<uint32_t> node_active_steps(n, 0);
-
-  auto ratio_of = [&](NodeId i) {
-    return g[i] != 0.0 ? y[i] / g[i] : options_.ratio_sentinel;
-  };
-  auto count_ratio_of = [&](NodeId i) {
-    return g[i] != 0.0 ? c[i] / g[i] : options_.ratio_sentinel;
+  auto record_trace = [&](const std::vector<Value>& s) {
+    if (!options_.track_trace) return;
+    std::vector<double> row(n);
+    for (NodeId i = 0; i < n; ++i) row[i] = policy.Ratio(s[i].y, s[i].g);
+    res.trace.push_back(std::move(row));
   };
 
-  // u_i: the ratio tracked from the previous step (and the count-channel
-  // ratio when that channel is active — convergence must cover both).
-  std::vector<double> u(n), uc(use_count ? n : 0);
-  for (NodeId i = 0; i < n; ++i) u[i] = ratio_of(i);
-  if (use_count) {
-    for (NodeId i = 0; i < n; ++i) uc[i] = count_ratio_of(i);
-  }
-
-  // One-time degree announcements: every node pushes its degree to all
-  // neighbours so that k_i can be computed. Cost = sum of degrees. Under
-  // plain push k_i is constant, so no degrees need announcing.
-  if (options_.strategy == PushStrategy::kDifferential) {
-    res.control_messages += graph_->DegreeSum();
-    for (NodeId i = 0; i < n; ++i) node_sent[i] += graph_->Degree(i);
-  }
-
-  if (options_.track_trace) res.trace.reserve(64);
-
-  std::atomic<uint32_t> num_stopped{0};
-  // Handle isolated nodes (they can never hear from anybody): converge and
-  // stop them immediately.
-  for (NodeId i = 0; i < n; ++i) {
-    if (graph_->Degree(i) == 0) {
-      converged[i] = 1;
-      stopped[i] = 1;
-      num_stopped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  std::atomic<uint64_t> control_messages{0};
-  StepPlan plan;
-  uint32_t step = 0;
-  while (num_stopped.load(std::memory_order_relaxed) < n &&
-         step < options_.max_steps) {
-    ++step;
-
-    // Phase A: draw every node's pushes and bin them per receiver.
-    BuildStepPlan(*graph_, options_, push_counts_, stopped, step, rng, rng,
-                  pool, plan);
-    res.gossip_messages += plan.pushes;
-    for (NodeId i = 0; i < n; ++i) node_sent[i] += plan.k_used[i];
-
-    // Phase B: each receiver folds its contribution list (ascending-sender
-    // order — the serial engine's exact accumulation order) and evaluates
-    // the convergence predicate. Each iteration only writes node i's own
-    // slots, so receivers shard freely across the pool.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i]) continue;
-        ++node_active_steps[i];
-        double acc_y = 0.0, acc_g = 0.0, acc_c = 0.0;
-        for (const PlanEntry& e : plan.inbox[i]) {
-          const double denom = static_cast<double>(plan.k_used[e.sender]) + 1.0;
-          const double sy = y[e.sender] / denom;
-          const double sg = g[e.sender] / denom;
-          const double sc = use_count ? c[e.sender] / denom : 0.0;
-          // shares > 1 only for the kept-self entry; replicate the serial
-          // engine's bounce accumulation (repeated adds, not a multiply)
-          // so the result stays bit-for-bit identical.
-          double ty = sy, tg = sg, tc = sc;
-          for (uint32_t s = 1; s < e.shares; ++s) {
-            ty += sy;
-            tg += sg;
-            tc += sc;
-          }
-          acc_y += ty;
-          acc_g += tg;
-          acc_c += tc;
-        }
-        next_y[i] = acc_y;
-        next_g[i] = acc_g;
-        if (use_count) next_c[i] = acc_c;
-
-        double r = acc_g != 0.0 ? acc_y / acc_g : options_.ratio_sentinel;
-        double change = std::fabs(r - u[i]);
-        if (use_count) {
-          double rc = acc_g != 0.0 ? acc_c / acc_g : options_.ratio_sentinel;
-          change += std::fabs(rc - uc[i]);
-          uc[i] = rc;
-        }
-        // Convergence evidence: a step counts towards the streak when the
-        // node heard from somebody else (|S| > 1), carries gossip weight
-        // (a weightless node parks at the sentinel, which is trivially
-        // stable), and its tracked ratios moved by at most xi. A step
-        // where it heard something and moved MORE than xi resets the
-        // streak; silent steps carry no evidence either way.
-        if (!converged[i]) {
-          if (plan.senders[i] >= 1 && acc_g != 0.0) {
-            streak[i] = change <= options_.xi ? streak[i] + 1 : 0;
-          }
-          if (streak[i] >= options_.convergence_rounds) {
-            converged[i] = 1;
-            // Announce convergence to all neighbours.
-            control_messages.fetch_add(graph_->Degree(i),
-                                       std::memory_order_relaxed);
-            node_sent[i] += graph_->Degree(i);
-          }
-        }
-        u[i] = r;
-      }
-    });
-
-    // Install the merged state. Stopped nodes are frozen: nothing was
-    // delivered to them (senders bounced instead), so they keep their
-    // previous values.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        if (stopped[i]) continue;
-        y[i] = next_y[i];
-        g[i] = next_g[i];
-        if (use_count) c[i] = next_c[i];
-      }
-    });
-
-    // A node whose neighbours have ALL stopped can never hear from
-    // anybody again; no further information can reach it, so it adopts
-    // its current estimate and announces convergence.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || converged[i] || graph_->Degree(i) == 0) continue;
-        bool all_stopped = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!stopped[v]) {
-            all_stopped = false;
-            break;
-          }
-        }
-        if (all_stopped) {
-          converged[i] = 1;
-          control_messages.fetch_add(graph_->Degree(i),
-                                     std::memory_order_relaxed);
-          node_sent[i] += graph_->Degree(i);
-        }
-      }
-    });
-
-    // A node stops once it and all its neighbours have converged.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || !converged[i]) continue;
-        bool all = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!converged[v]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          stopped[i] = 1;
-          num_stopped.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-
-    if (options_.track_trace) {
-      std::vector<double> row(n);
-      for (NodeId i = 0; i < n; ++i) row[i] = ratio_of(i);
-      res.trace.push_back(std::move(row));
-    }
-  }
-
-  res.control_messages += control_messages.load(std::memory_order_relaxed);
-  res.steps = step;
-  res.converged = (num_stopped.load(std::memory_order_relaxed) == n);
+  ThreadPool pool(options_.num_threads);
+  DGT_ASSIGN_OR_RETURN(PushSumStats stats,
+                       RunPushSum(*graph_, options_, push_counts_, policy,
+                                  state, pool, record_trace));
+  static_cast<PushSumStats&>(res) = stats;
   res.ratios.resize(n);
-  double per_step_sum = 0.0;
+  res.values.resize(n);
+  res.weights.resize(n);
+  res.counts.resize(n);
   for (NodeId i = 0; i < n; ++i) {
-    res.ratios[i] = ratio_of(i);
-    per_step_sum += static_cast<double>(node_sent[i]) /
-                    static_cast<double>(std::max(node_active_steps[i], 1u));
+    res.ratios[i] = policy.Ratio(state[i].y, state[i].g);
+    res.values[i] = state[i].y;
+    res.weights[i] = state[i].g;
+    res.counts[i] = state[i].c;
   }
-  res.mean_messages_per_active_node_step =
-      n > 0 ? per_step_sum / static_cast<double>(n) : 0.0;
   return res;
 }
 

@@ -12,6 +12,9 @@
 // to its neighbours once its ratio moved by <= xi in a step in which it
 // heard from somebody else (|S| > 1); it stops once itself and all its
 // neighbours have announced. The run ends when every node has stopped.
+//
+// A front-end over RunPushSum (gossip/push_sum.h) with the scalar value
+// policy (gossip/gossip_state.h): it checks inputs and assembles results.
 
 #ifndef DGT_GOSSIP_SCALAR_ENGINE_H_
 #define DGT_GOSSIP_SCALAR_ENGINE_H_
@@ -33,8 +36,8 @@ class ScalarPushSum {
 
   // Runs to convergence (or options.max_steps). y0/g0 must have
   // num_nodes entries; c0 may be empty (count channel disabled) or
-  // num_nodes entries. Fails with InvalidArgument on size mismatch or
-  // negative g0.
+  // num_nodes entries. Fails with InvalidArgument on size mismatch,
+  // negative g0, or an xi that is not finite and positive.
   Result<GossipResult> Run(const std::vector<double>& y0,
                            const std::vector<double>& g0,
                            const std::vector<double>& c0 = {});

@@ -1,332 +1,35 @@
 #include "gossip/sparse_vector_engine.h"
 
-#include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <cmath>
-#include <limits>
-#include <string>
 
 #include "common/thread_pool.h"
-#include "gossip/step_plan.h"
+#include "gossip/push_sum.h"
 
 namespace dgt {
-
-namespace {
-
-struct MergeCursor {
-  const SparseVectorRow* src;
-  size_t pos;
-  double scale;
-  bool is_self;
-};
-
-constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
-
-}  // namespace
-
-std::vector<std::vector<double>> SparseVectorGossipResult::DenseEstimates(
-    double sentinel) const {
-  std::vector<std::vector<double>> out(
-      rows.size(), std::vector<double>(rows.size(), sentinel));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t k = 0; k < rows[i].cols.size(); ++k) {
-      out[i][rows[i].cols[k]] = rows[i].estimates[k];
-    }
-  }
-  return out;
-}
-
-std::vector<std::vector<double>>
-SparseVectorGossipResult::DenseCountEstimates(double sentinel) const {
-  std::vector<std::vector<double>> out(
-      rows.size(), std::vector<double>(rows.size(), sentinel));
-  for (size_t i = 0; i < rows.size(); ++i) {
-    for (size_t k = 0; k < rows[i].cols.size(); ++k) {
-      out[i][rows[i].cols[k]] = rows[i].count_estimates[k];
-    }
-  }
-  return out;
-}
 
 SparseVectorPushSum::SparseVectorPushSum(const Graph* graph,
                                          GossipOptions options)
     : graph_(graph), options_(options) {
   assert(graph_ != nullptr);
-  const uint32_t n = graph_->num_nodes();
-  push_counts_.resize(n, 1);
-  if (options_.strategy == PushStrategy::kDifferential) {
-    for (NodeId u = 0; u < n; ++u) {
-      push_counts_[u] = graph_->DifferentialPushCount(u, options_.k_rounding);
-    }
-  }
+  push_counts_ = PushCounts(graph_->Adjacency(), options_.strategy,
+                            options_.k_rounding);
 }
 
 Result<SparseVectorGossipResult> SparseVectorPushSum::Run(
     std::vector<SparseVectorRow> init, bool use_count) {
   const uint32_t n = graph_->num_nodes();
-  if (init.size() != n) {
-    return Status::InvalidArgument("initial state must have N rows");
-  }
-  uint64_t total_nnz = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    const SparseVectorRow& row = init[i];
-    if (row.y.size() != row.cols.size() || row.g.size() != row.cols.size() ||
-        row.c.size() != (use_count ? row.cols.size() : 0)) {
-      return Status::InvalidArgument("row " + std::to_string(i) +
-                                     ": value arrays must parallel cols");
-    }
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      if (row.cols[k] >= n) {
-        return Status::InvalidArgument("row " + std::to_string(i) +
-                                       ": column out of range");
-      }
-      if (k > 0 && row.cols[k] <= row.cols[k - 1]) {
-        return Status::InvalidArgument("row " + std::to_string(i) +
-                                       ": columns must be strictly increasing");
-      }
-    }
-    total_nnz += row.nnz();
-  }
-  if (options_.xi <= 0.0) {
-    return Status::InvalidArgument("xi must be positive");
-  }
+  DGT_RETURN_IF_ERROR(ValidateSparseRows(n, init, use_count));
 
-  Rng rng(options_.seed);
-  ThreadPool pool(options_.num_threads);
   std::vector<SparseVectorRow>& state = init;
-  // Next-step rows for the nodes updated this step. Previous-step rows are
-  // reference-counted and released as soon as their last consumer merged
-  // (the count is atomic: under a threaded merge the last consumer may
-  // finish on any worker), so the live footprint stays near one copy of
-  // the state, not two.
-  std::vector<SparseVectorRow> next(n);
-  std::vector<std::atomic<uint32_t>> refs(n);
-
-  std::vector<uint8_t> converged(n, 0), stopped(n, 0);
-  std::vector<uint32_t> streak(n, 0);
-  std::vector<uint64_t> node_sent(n, 0);
-  std::vector<uint32_t> node_active_steps(n, 0);
-  // Serial-replay bookkeeping for the peak_state_nonzeros metric (see the
-  // accounting note below the merge phase).
-  std::vector<uint32_t> replay_refs(n, 0);
-  std::vector<uint64_t> prev_nnz(n, 0), merged_nnz(n, 0);
-
-  const double sentinel = options_.ratio_sentinel;
+  SparseVectorGossipPolicy policy(state, options_.ratio_sentinel, use_count);
+  ThreadPool pool(options_.num_threads);
+  DGT_ASSIGN_OR_RETURN(
+      PushSumStats stats,
+      RunPushSum(*graph_, options_, push_counts_, policy, state, pool));
 
   SparseVectorGossipResult res;
-  res.peak_state_nonzeros = total_nnz;
-  // One-time degree announcements, needed only when neighbour degrees
-  // feed the differential push count k_i (plain push uses a constant k).
-  if (options_.strategy == PushStrategy::kDifferential) {
-    res.control_messages += graph_->DegreeSum();
-    for (NodeId i = 0; i < n; ++i) node_sent[i] += graph_->Degree(i);
-  }
-
-  std::atomic<uint32_t> num_stopped{0};
-  for (NodeId i = 0; i < n; ++i) {
-    if (graph_->Degree(i) == 0) {
-      converged[i] = 1;
-      stopped[i] = 1;
-      num_stopped.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  const double threshold = static_cast<double>(n) * options_.xi;
-  std::atomic<uint64_t> control_messages{0};
-  StepPlan plan;
-  uint32_t step = 0;
-  while (num_stopped.load(std::memory_order_relaxed) < n &&
-         step < options_.max_steps) {
-    ++step;
-
-    // Phase A: identical draw sequence to the dense engine. Shares are
-    // recorded as (sender, shares) entries; no vector is copied yet.
-    BuildStepPlan(*graph_, options_, push_counts_, stopped, step, rng, rng,
-                  pool, plan);
-    res.gossip_messages += plan.pushes;
-    for (NodeId i = 0; i < n; ++i) {
-      node_sent[i] += plan.k_used[i];
-      prev_nnz[i] = state[i].nnz();
-      replay_refs[i] = 0;
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      if (stopped[i]) continue;
-      for (const PlanEntry& e : plan.inbox[i]) ++replay_refs[e.sender];
-    }
-    for (NodeId i = 0; i < n; ++i) {
-      refs[i].store(replay_refs[i], std::memory_order_relaxed);
-    }
-
-    // Phase B: k-way sorted-column walk over each receiver's inbox
-    // (ascending-sender cursor order — the dense engine's accumulation
-    // order). Cost is proportional to the nonzeros contributed, not to N.
-    // Receivers shard across the pool; previous-step rows are read-only
-    // here and released by whichever merge consumes the last reference.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      std::vector<MergeCursor> cursors;
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i]) continue;
-        ++node_active_steps[i];
-        assert(!plan.inbox[i].empty());
-        cursors.clear();
-        for (const PlanEntry& e : plan.inbox[i]) {
-          const double inv =
-              1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
-          cursors.push_back({&state[e.sender], 0,
-                             static_cast<double>(e.shares) * inv,
-                             e.sender == i});
-        }
-        SparseVectorRow& merged = next[i];
-
-        double l1_change = 0.0;
-        bool has_weight = false;
-        while (true) {
-          uint32_t jmin = kNoColumn;
-          for (const MergeCursor& cur : cursors) {
-            if (cur.pos < cur.src->cols.size()) {
-              jmin = std::min(jmin, cur.src->cols[cur.pos]);
-            }
-          }
-          if (jmin == kNoColumn) break;
-          double ay = 0.0, ag = 0.0, ac = 0.0;
-          double old_y = 0.0, old_g = 0.0, old_c = 0.0;
-          bool in_old = false;
-          for (MergeCursor& cur : cursors) {
-            if (cur.pos < cur.src->cols.size() &&
-                cur.src->cols[cur.pos] == jmin) {
-              ay += cur.src->y[cur.pos] * cur.scale;
-              ag += cur.src->g[cur.pos] * cur.scale;
-              if (use_count) ac += cur.src->c[cur.pos] * cur.scale;
-              if (cur.is_self) {
-                in_old = true;
-                old_y = cur.src->y[cur.pos];
-                old_g = cur.src->g[cur.pos];
-                if (use_count) old_c = cur.src->c[cur.pos];
-              }
-              ++cur.pos;
-            }
-          }
-          // eq. (7) terms, in the dense engine's exact order (ratio term,
-          // then count term). Columns outside the merged set contribute
-          // exact zeros (sentinel minus sentinel), so skipping them leaves
-          // the L1 sum bit-identical. The previous-step ratio is
-          // recomputed from the kept share's source row — the node's own
-          // old state.
-          double r = ag != 0.0 ? ay / ag : sentinel;
-          double prev = (in_old && old_g != 0.0) ? old_y / old_g : sentinel;
-          l1_change += std::fabs(r - prev);
-          if (use_count) {
-            double rc = ag != 0.0 ? ac / ag : sentinel;
-            double prev_c = (in_old && old_g != 0.0) ? old_c / old_g : sentinel;
-            l1_change += std::fabs(rc - prev_c);
-          }
-          if (ag != 0.0) has_weight = true;
-          if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
-            merged.cols.push_back(jmin);
-            merged.y.push_back(ay);
-            merged.g.push_back(ag);
-            if (use_count) merged.c.push_back(ac);
-          }
-        }
-        merged_nnz[i] = merged.nnz();
-
-        // Release previous-step rows whose last consumer was this merge
-        // (acq_rel: the release must observe every consumer's reads).
-        for (const PlanEntry& e : plan.inbox[i]) {
-          if (refs[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-            state[e.sender] = SparseVectorRow();
-          }
-        }
-
-        if (!converged[i]) {
-          if (plan.senders[i] >= 1 && has_weight) {
-            streak[i] = l1_change <= threshold ? streak[i] + 1 : 0;
-          }
-          if (streak[i] >= options_.convergence_rounds) {
-            converged[i] = 1;
-            control_messages.fetch_add(graph_->Degree(i),
-                                       std::memory_order_relaxed);
-            node_sent[i] += graph_->Degree(i);
-          }
-        }
-      }
-    });
-
-    // peak_state_nonzeros accounting: replay the serial engine's receiver-
-    // order bookkeeping (merge row i, then release rows whose last
-    // consumer was i), so the reported metric is identical at every
-    // thread count. (A threaded merge's instantaneous footprint can
-    // transiently exceed it by the rows still queued for release; releases
-    // above keep that slack to the in-flight shard set.)
-    for (NodeId i = 0; i < n; ++i) {
-      if (stopped[i]) continue;
-      total_nnz += merged_nnz[i];
-      res.peak_state_nonzeros = std::max(res.peak_state_nonzeros, total_nnz);
-      for (const PlanEntry& e : plan.inbox[i]) {
-        if (--replay_refs[e.sender] == 0) total_nnz -= prev_nnz[e.sender];
-      }
-    }
-
-    // Install the merged rows as the new state.
-    for (NodeId i = 0; i < n; ++i) {
-      if (stopped[i]) continue;
-      assert(state[i].nnz() == 0);
-      state[i] = std::move(next[i]);
-      next[i] = SparseVectorRow();
-    }
-
-    // Force-converge nodes that can never hear from anybody again.
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || converged[i] || graph_->Degree(i) == 0) continue;
-        bool all_stopped = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!stopped[v]) {
-            all_stopped = false;
-            break;
-          }
-        }
-        if (all_stopped) {
-          converged[i] = 1;
-          control_messages.fetch_add(graph_->Degree(i),
-                                     std::memory_order_relaxed);
-          node_sent[i] += graph_->Degree(i);
-        }
-      }
-    });
-
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        if (stopped[i] || !converged[i]) continue;
-        bool all = true;
-        for (NodeId v : graph_->Neighbors(i)) {
-          if (!converged[v]) {
-            all = false;
-            break;
-          }
-        }
-        if (all) {
-          stopped[i] = 1;
-          num_stopped.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    });
-  }
-
-  res.control_messages += control_messages.load(std::memory_order_relaxed);
-  res.steps = step;
-  res.converged = (num_stopped.load(std::memory_order_relaxed) == n);
-  double per_step_sum = 0.0;
-  for (NodeId i = 0; i < n; ++i) {
-    per_step_sum += static_cast<double>(node_sent[i]) /
-                    static_cast<double>(std::max(node_active_steps[i], 1u));
-  }
-  res.mean_messages_per_active_node_step =
-      n > 0 ? per_step_sum / static_cast<double>(n) : 0.0;
+  static_cast<PushSumStats&>(res) = stats;
+  res.peak_state_nonzeros = policy.peak_state_nonzeros();
 
   res.rows.resize(n);
   pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {

@@ -1,29 +1,32 @@
 // SparseVectorPushSum: the vector push-sum gossip (paper variants 3 and 4)
-// with each node's state stored as a sparse row instead of dense length-N
-// vectors.
+// with each node's state stored as a sparse row.
 //
-// Motivation: the dense VectorPushSum allocates six N x N double arrays
-// (~120 GB at the paper's N = 50,000), so the headline configuration —
-// GCLR of all nodes at all observers — can never run at paper scale. But
-// trust matrices are sparse (a node only holds direct trust in the few
-// peers it transacted with), so early gossip state is sparse too; rows
-// only fill in as mass mixes across the overlay. This engine's per-step
-// cost is proportional to the nonzeros actually pushed, not to N per
-// message, and its memory footprint tracks the live nonzero count.
+// Every node i holds one entry per target j it has mass for — a vector
+// (y_ij, g_ij[, c_ij]) — and a push transmits the whole shared row with
+// the sender's id attached, so the time complexity matches the scalar
+// case while communication grows with the row size (paper, end of
+// §4.1.2). Convergence uses the paper's eq. (7): node i's step counts as
+// evidence when sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi, followed by
+// the same announce/stop protocol as the scalar engine.
 //
-// State layout: each node holds one SparseVectorRow — CSR-style parallel
-// arrays (cols sorted ascending; y, g and optionally c aligned with cols).
-// A push enqueues (sender, scale) against each target; the receive side
-// merges all of a step's contributions with a k-way sorted-column walk
-// (merge-on-receive), so incoming shares are combined without ever
-// materialising a dense inbox.
+// Why sparse: dense length-N vectors need six N x N arrays (~120 GB at
+// the paper's N = 50,000), but trust matrices are sparse (a node only
+// holds direct trust in the few peers it transacted with), so early
+// gossip state is sparse too; rows only fill in as mass mixes across the
+// overlay. This engine's per-step cost is proportional to the nonzeros
+// actually pushed, not to N per message, and its memory footprint tracks
+// the live nonzero count.
 //
-// Equivalence: for identical options and initial state this engine is
-// bit-for-bit identical to VectorPushSum — same RNG draw sequence, same
-// floating-point accumulation order (contributions combine in sender
-// order per column, and absent columns contribute exact zeros to eq. (7)'s
-// L1 test), same message accounting. The dense engine is kept for
-// small-N cross-validation; see tests/gossip/sparse_vector_engine_test.cc.
+// State layout: each node holds one SparseVectorRow (gossip/gossip_state.h)
+// — CSR-style parallel arrays. The receive side merges all of a step's
+// contributions with a k-way sorted-column walk (merge-on-receive), so
+// incoming shares are combined without ever materialising a dense inbox.
+// Absent columns contribute exact zeros to eq. (7)'s L1 test, so the
+// results are bit-for-bit those of a dense-vector run; a dense reference
+// policy in tests/ checks that (tests/gossip/sparse_vector_engine_test.cc).
+//
+// A front-end over RunPushSum (gossip/push_sum.h) with the sparse value
+// policy: it checks inputs and assembles results.
 
 #ifndef DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
@@ -32,28 +35,16 @@
 
 #include "common/result.h"
 #include "common/rng.h"
+#include "gossip/gossip_state.h"
 #include "gossip/options.h"
 #include "graph/graph.h"
 
 namespace dgt {
 
-// One node's gossip state: sorted sparse (column, y, g[, c]) entries.
-// `cols` is strictly increasing; `y`/`g` (and `c` when the count channel
-// is active) are parallel to it. Absent columns hold exact zeros.
-struct SparseVectorRow {
-  std::vector<uint32_t> cols;
-  std::vector<double> y;
-  std::vector<double> g;
-  std::vector<double> c;  // empty when the count channel is unused
-
-  size_t nnz() const { return cols.size(); }
-};
-
-struct SparseVectorGossipResult {
+struct SparseVectorGossipResult : PushSumStats {
   // Per node: sorted columns where gossip weight arrived (g != 0), with
   // the final ratio y/g and count ratio c/g. Columns absent from a row
-  // are at options.ratio_sentinel (no weight reached the node), exactly
-  // like the dense engine's estimates.
+  // are at options.ratio_sentinel (no weight reached the node).
   struct Row {
     std::vector<uint32_t> cols;
     std::vector<double> estimates;
@@ -61,36 +52,20 @@ struct SparseVectorGossipResult {
   };
   std::vector<Row> rows;
 
-  uint32_t steps = 0;
-  bool converged = false;
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // See GossipResult::mean_messages_per_active_node_step.
-  double mean_messages_per_active_node_step = 0.0;
   // Peak sum of per-row nonzeros across all steps — the engine's actual
   // working-set size (reported by the large-N benches).
   uint64_t peak_state_nonzeros = 0;
-
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
-
-  // Densified estimates (sentinel where no weight arrived) — for small-N
-  // cross-validation against VectorPushSum; O(rows * N) memory.
-  std::vector<std::vector<double>> DenseEstimates(double sentinel) const;
-  std::vector<std::vector<double>> DenseCountEstimates(double sentinel) const;
 };
 
 class SparseVectorPushSum {
  public:
   SparseVectorPushSum(const Graph* graph, GossipOptions options);
 
-  // `init` holds one row per node (exactly num_nodes rows). Each row's
-  // cols must be strictly increasing and in [0, num_nodes); y/g must be
-  // parallel to cols, and c must be parallel when `use_count` is true and
-  // empty otherwise. Fails with InvalidArgument on any violation.
+  // `init` holds one row per node (exactly num_nodes rows), checked by
+  // ValidateSparseRows: cols strictly increasing and in [0, num_nodes),
+  // y/g parallel to cols, c parallel exactly when `use_count`, and no
+  // negative gossip weight. Fails with InvalidArgument on any violation
+  // or on an xi that is not finite and positive.
   Result<SparseVectorGossipResult> Run(std::vector<SparseVectorRow> init,
                                        bool use_count);
 

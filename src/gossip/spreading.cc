@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "gossip/step_plan.h"
+
 namespace dgt {
 
 Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
@@ -18,10 +20,13 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
   uint32_t count = 1;
 
   // Differential push counts are degree-based and static.
-  std::vector<uint32_t> k(n, 1);
-  if (protocol == SpreadProtocol::kDifferentialPush) {
-    for (NodeId u = 0; u < n; ++u) k[u] = graph.DifferentialPushCount(u);
-  }
+  const std::vector<uint32_t> k =
+      PushCounts(graph.Adjacency(),
+                 protocol == SpreadProtocol::kDifferentialPush
+                     ? PushStrategy::kDifferential
+                     : PushStrategy::kUniform,
+                 KRounding::kRound);
+  std::vector<NodeId> targets;
 
   const bool do_push = protocol == SpreadProtocol::kPush ||
                        protocol == SpreadProtocol::kDifferentialPush ||
@@ -37,19 +42,10 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
     if (do_push) {
       for (NodeId u = 0; u < n; ++u) {
         if (!informed[u]) continue;
-        const auto& nbrs = graph.Neighbors(u);
-        if (nbrs.empty()) continue;
-        const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-        const uint32_t kk = std::min(k[u], deg);
-        if (kk == 1) {
-          next[nbrs[rng.NextBelow(deg)]] = 1;
-          ++res.messages;
-        } else {
-          for (uint32_t idx : rng.SampleWithoutReplacement(deg, kk)) {
-            next[nbrs[idx]] = 1;
-            ++res.messages;
-          }
-        }
+        if (graph.Degree(u) == 0) continue;
+        DrawTargets(graph.Neighbors(u), k[u], rng, targets);
+        for (NodeId t : targets) next[t] = 1;
+        res.messages += targets.size();
       }
     }
     if (do_pull) {

@@ -1,5 +1,6 @@
 // Phase A of the two-phase deterministic gossip step shared by the
-// synchronous engines (scalar, dense vector, sparse vector).
+// synchronous engines (the push-sum executor of gossip/push_sum.h and the
+// churn engine) and the potential tracker.
 //
 // A synchronous push-sum step factors cleanly into
 //   (A) push generation — every active node draws its k_i targets and the
@@ -37,49 +38,10 @@ struct PlanEntry {
   uint32_t shares;
 };
 
-// Draws node i's pushes for one step and emits them as
-// (receiver, PlanEntry) pairs — delivered shares first (in target draw
-// order), then the kept-self entry. The draw order (targets first, then
-// one loss trial per transmitted push, short-circuited to zero draws when
-// loss_prob == 0) is the historical serial engines' exact RNG consumption
-// order; EVERY engine must draw through this helper so the sequence stays
-// uniform across engines (the churn engine supplies its own bounce
-// predicate over its dynamic membership). Returns k, the number of pushes
-// transmitted. Precondition: nbrs is non-empty.
-template <typename BouncePred, typename Emit>
-uint32_t DrawNodePushes(const std::vector<NodeId>& nbrs, uint32_t push_count,
-                        double loss_prob, NodeId i, Rng& rng,
-                        std::vector<NodeId>& targets,
-                        BouncePred&& target_bounces, Emit&& emit) {
-  const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-  const uint32_t k = std::min(push_count, deg);
-  targets.clear();
-  if (k == 1) {
-    targets.push_back(nbrs[rng.NextBelow(deg)]);
-  } else {
-    for (uint32_t idx : rng.SampleWithoutReplacement(deg, k)) {
-      targets.push_back(nbrs[idx]);
-    }
-  }
-  uint32_t self_shares = 1;
-  for (NodeId t : targets) {
-    // A bounced or lost push returns its share to the sender (mass
-    // conservation; the sender does not bleed mass into a frozen sink).
-    if (target_bounces(t) ||
-        (loss_prob > 0.0 && rng.NextBernoulli(loss_prob))) {
-      ++self_shares;
-      continue;
-    }
-    emit(t, PlanEntry{i, 1});
-  }
-  emit(i, PlanEntry{i, self_shares});
-  return k;
-}
-
 struct StepPlan {
   // inbox[t]: contribution list of receiver t, ascending-sender order.
   std::vector<std::vector<PlanEntry>> inbox;
-  // Pushes each sender transmitted this step (0 for stopped nodes); the
+  // Pushes each sender transmitted this step (0 for inactive nodes); the
   // denominator of its share split is k_used[i] + 1.
   std::vector<uint32_t> k_used;
   // Distinct other-node senders that delivered to each receiver (the
@@ -92,14 +54,35 @@ struct StepPlan {
   void Reset(uint32_t num_nodes);
 };
 
-// Draws one step's push targets and loss outcomes for every non-stopped
-// node and bins the deliveries per receiver. kSequential consumes
-// `shared_rng` in node order (the historical serial sequence); kCounter
-// derives a per-(node, step) generator from `stream_root` via StreamAt and
-// shards the generation across `pool`. Both are thread-count invariant.
-void BuildStepPlan(const Graph& graph, const GossipOptions& options,
+// Per-node push counts k_i under `strategy` over the neighbour lists
+// `neighbors` (one per node): DifferentialPushCount under differential
+// push, 1 everywhere under plain push.
+std::vector<uint32_t> PushCounts(
+    const std::vector<std::vector<NodeId>>& neighbors, PushStrategy strategy,
+    KRounding rounding);
+
+// Draws k = min(push_count, |nbrs|) distinct targets from `nbrs` into
+// `targets`: one NextBelow draw when k == 1, else SampleWithoutReplacement.
+// Every engine draws its push targets through here, so their RNG
+// consumption stays uniform. Precondition: nbrs is non-empty.
+void DrawTargets(const std::vector<NodeId>& nbrs, uint32_t push_count,
+                 Rng& rng, std::vector<NodeId>& targets);
+
+// Draws one step's push targets and loss outcomes for every active node
+// (inactive[i] == 0) over the neighbour lists `neighbors` (one per node)
+// and bins the deliveries per receiver. A push to an inactive target
+// bounces back to its sender. kSequential consumes `shared_rng` in node
+// order (the historical serial sequence); kCounter derives a per-(node,
+// step) generator from `stream_root` via StreamAt and shards the
+// generation across `pool`. Both are thread-count invariant. Per node,
+// the draw order is targets first, then one loss trial per transmitted
+// push (no trials when loss_prob == 0) — the historical serial engines'
+// exact RNG consumption order, which every synchronous engine shares by
+// drawing through this function.
+void BuildStepPlan(const std::vector<std::vector<NodeId>>& neighbors,
+                   const GossipOptions& options,
                    const std::vector<uint32_t>& push_counts,
-                   const std::vector<uint8_t>& stopped, uint32_t step,
+                   const std::vector<uint8_t>& inactive, uint32_t step,
                    Rng& shared_rng, const Rng& stream_root, ThreadPool& pool,
                    StepPlan& plan);
 

@@ -52,9 +52,19 @@ double Graph::AverageNeighborDegree(NodeId u) const {
 }
 
 uint32_t Graph::DifferentialPushCount(NodeId u, KRounding rounding) const {
-  double avg = AverageNeighborDegree(u);
+  return dgt::DifferentialPushCount(adj_, u, rounding);
+}
+
+uint32_t DifferentialPushCount(const std::vector<std::vector<NodeId>>& adj,
+                               NodeId u, KRounding rounding) {
+  const auto& nbrs = adj[u];
+  if (nbrs.empty()) return 1;
+  uint64_t sum = 0;
+  for (NodeId v : nbrs) sum += adj[v].size();
+  const double avg =
+      static_cast<double>(sum) / static_cast<double>(nbrs.size());
   if (avg <= 0.0) return 1;
-  double ratio = static_cast<double>(Degree(u)) / avg;
+  double ratio = static_cast<double>(nbrs.size()) / avg;
   if (ratio < 1.0) return 1;
   switch (rounding) {
     case KRounding::kFloor:

@@ -52,6 +52,9 @@ class Graph {
   // Neighbours of u, in insertion order.
   const std::vector<NodeId>& Neighbors(NodeId u) const { return adj_[u]; }
 
+  // Every node's neighbour list, indexed by node.
+  const std::vector<std::vector<NodeId>>& Adjacency() const { return adj_; }
+
   // Mean degree over the neighbours of u; 0 for isolated nodes.
   double AverageNeighborDegree(NodeId u) const;
 
@@ -72,6 +75,11 @@ class Graph {
   std::vector<std::vector<NodeId>> adj_;
   uint64_t num_edges_ = 0;
 };
+
+// Graph::DifferentialPushCount over explicit neighbour lists (adj[u]
+// lists u's neighbours), for overlays that change at runtime.
+uint32_t DifferentialPushCount(const std::vector<std::vector<NodeId>>& adj,
+                               NodeId u, KRounding rounding);
 
 }  // namespace dgt
 

@@ -1,6 +1,6 @@
 // AsyncEventEngine: the event-driven differential push-sum executor,
-// templated over a value policy (net/gossip_state.h) and parallelised by
-// conservative time-window lookahead.
+// templated over a value policy (gossip/gossip_state.h) and parallelised
+// by conservative time-window lookahead.
 //
 // Determinism contract (the async analogue of the synchronous engines'
 // thread-count invariance): results are bit-for-bit identical at every
@@ -28,8 +28,8 @@
 //      (seed, node, counter) — no draw order to perturb.
 //
 // tests/gossip/parallel_equivalence_test.cc asserts EXPECT_EQ on doubles
-// and on message/event counts across T in {1, 2, 4, 8} for all three
-// policies.
+// and on message/event counts across T in {1, 2, 4, 8} for the scalar and
+// sparse policies and the dense reference policy of the tests.
 
 #ifndef DGT_NET_ASYNC_ENGINE_H_
 #define DGT_NET_ASYNC_ENGINE_H_
@@ -45,6 +45,7 @@
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "gossip/options.h"
+#include "gossip/step_plan.h"
 #include "graph/graph.h"
 #include "net/event_queue.h"
 #include "net/link_model.h"
@@ -113,8 +114,11 @@ class AsyncEventEngine {
     if (init.size() != n) {
       return Status::InvalidArgument("init must have num_nodes entries");
     }
-    if (options_.xi <= 0.0 || options_.push_period <= 0.0) {
-      return Status::InvalidArgument("xi and push_period must be positive");
+    if (!IsValidXi(options_.xi)) {
+      return Status::InvalidArgument("xi must be finite and positive");
+    }
+    if (options_.push_period <= 0.0) {
+      return Status::InvalidArgument("push_period must be positive");
     }
     if (options_.period_jitter < 0.0 || options_.period_jitter >= 1.0) {
       return Status::InvalidArgument("period_jitter must lie in [0, 1)");
@@ -147,13 +151,11 @@ class AsyncEventEngine {
       bool stopped = false;
     };
     std::vector<Node> node(n);
-    std::vector<uint32_t> k(n, 1);
+    const std::vector<uint32_t> k = PushCounts(
+        graph_->Adjacency(), options_.strategy, options_.k_rounding);
     for (NodeId i = 0; i < n; ++i) {
       node[i].value = std::move(init[i]);
       node[i].prev = Policy::TakeSnapshot(node[i].value, sentinel);
-      if (options_.strategy == PushStrategy::kDifferential) {
-        k[i] = graph_->DifferentialPushCount(i, options_.k_rounding);
-      }
     }
 
     AsyncEngineResult<Policy> res;
@@ -284,19 +286,10 @@ class AsyncEventEngine {
       if (node[i].stopped) return;
 
       // Differential push: split into k+1 shares, keep one.
-      const auto& nbrs = graph_->Neighbors(i);
-      const uint32_t deg = static_cast<uint32_t>(nbrs.size());
-      const uint32_t kk = std::min(k[i], deg);
-      typename Policy::Share share = Policy::Split(node[i].value, kk);
-
       std::vector<NodeId> targets;
-      if (kk == 1) {
-        targets.push_back(nbrs[er.NextBelow(deg)]);
-      } else {
-        for (uint32_t idx : er.SampleWithoutReplacement(deg, kk)) {
-          targets.push_back(nbrs[idx]);
-        }
-      }
+      DrawTargets(graph_->Neighbors(i), k[i], er, targets);
+      typename Policy::Share share = Policy::Split(
+          node[i].value, static_cast<uint32_t>(targets.size()));
       for (NodeId tgt : targets) {
         ++out.gossip_messages;
         if (options_.packet_loss_prob > 0.0 &&

@@ -2,41 +2,9 @@
 
 #include <utility>
 
-#include "net/gossip_state.h"
+#include "gossip/gossip_state.h"
 
 namespace dgt {
-
-namespace {
-
-Status ValidateSparseInit(uint32_t n, const std::vector<SparseVectorRow>& init,
-                          bool use_count) {
-  if (init.size() != n) {
-    return Status::InvalidArgument("init must have num_nodes rows");
-  }
-  for (const SparseVectorRow& row : init) {
-    if (row.y.size() != row.cols.size() || row.g.size() != row.cols.size()) {
-      return Status::InvalidArgument("row channels must parallel cols");
-    }
-    if (use_count ? row.c.size() != row.cols.size() : !row.c.empty()) {
-      return Status::InvalidArgument(
-          "count channel must parallel cols iff use_count");
-    }
-    for (size_t j = 0; j < row.cols.size(); ++j) {
-      if (row.cols[j] >= n) {
-        return Status::InvalidArgument("row column out of range");
-      }
-      if (j > 0 && row.cols[j] <= row.cols[j - 1]) {
-        return Status::InvalidArgument("row cols must be strictly increasing");
-      }
-      if (row.g[j] < 0.0) {
-        return Status::InvalidArgument("gossip weights must be >= 0");
-      }
-    }
-  }
-  return Status::OK();
-}
-
-}  // namespace
 
 // --- Scalar ------------------------------------------------------------
 
@@ -53,73 +21,21 @@ Result<AsyncGossipResult> AsyncPushSum::Run(const std::vector<double>& y0,
     if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
   }
   std::vector<ScalarGossipPolicy::Value> init(n);
-  for (uint32_t i = 0; i < n; ++i) init[i] = {y0[i], g0[i]};
+  for (uint32_t i = 0; i < n; ++i) init[i] = {y0[i], g0[i], 0.0};
 
   AsyncEventEngine<ScalarGossipPolicy> engine(graph_, options_);
   DGT_ASSIGN_OR_RETURN(auto out, engine.Run(std::move(init)));
 
   AsyncGossipResult res;
-  res.converged = out.stats.converged;
-  res.sim_time = out.stats.sim_time;
-  res.gossip_messages = out.stats.gossip_messages;
-  res.control_messages = out.stats.control_messages;
-  res.events = out.stats.events;
-  res.max_node_firings = out.stats.max_node_firings;
+  static_cast<AsyncEngineStats&>(res) = out.stats;
   res.ratios.resize(n);
   res.values.resize(n);
   res.weights.resize(n);
   for (uint32_t i = 0; i < n; ++i) {
     res.values[i] = out.values[i].y;
     res.weights[i] = out.values[i].g;
-    res.ratios[i] = out.values[i].g != 0.0
-                        ? out.values[i].y / out.values[i].g
-                        : options_.ratio_sentinel;
-  }
-  return res;
-}
-
-// --- Dense vector ------------------------------------------------------
-
-AsyncVectorPushSum::AsyncVectorPushSum(const Graph* graph,
-                                       AsyncGossipOptions options)
-    : graph_(graph), options_(options) {}
-
-Result<AsyncVectorGossipResult> AsyncVectorPushSum::Run(
-    const std::vector<std::vector<double>>& y0,
-    const std::vector<std::vector<double>>& g0,
-    const std::vector<std::vector<double>>& c0) {
-  const uint32_t n = graph_->num_nodes();
-  if (y0.size() != n || g0.size() != n || (!c0.empty() && c0.size() != n)) {
-    return Status::InvalidArgument("y0/g0/c0 must have num_nodes rows");
-  }
-  std::vector<DenseVectorGossipPolicy::Value> init(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    if (y0[i].size() != n || g0[i].size() != n ||
-        (!c0.empty() && c0[i].size() != n)) {
-      return Status::InvalidArgument("rows must have num_nodes columns");
-    }
-    for (double g : g0[i]) {
-      if (g < 0.0) {
-        return Status::InvalidArgument("gossip weights must be >= 0");
-      }
-    }
-    init[i].y = y0[i];
-    init[i].g = g0[i];
-    if (!c0.empty()) init[i].c = c0[i];
-  }
-
-  AsyncEventEngine<DenseVectorGossipPolicy> engine(graph_, options_);
-  DGT_ASSIGN_OR_RETURN(auto out, engine.Run(std::move(init)));
-
-  AsyncVectorGossipResult res;
-  res.stats = out.stats;
-  res.y.resize(n);
-  res.g.resize(n);
-  if (!c0.empty()) res.c.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    res.y[i] = std::move(out.values[i].y);
-    res.g[i] = std::move(out.values[i].g);
-    if (!c0.empty()) res.c[i] = std::move(out.values[i].c);
+    res.ratios[i] = ScalarGossipPolicy::TakeSnapshot(
+        out.values[i], options_.ratio_sentinel);
   }
   return res;
 }
@@ -132,9 +48,7 @@ AsyncSparsePushSum::AsyncSparsePushSum(const Graph* graph,
 
 Result<AsyncSparseGossipResult> AsyncSparsePushSum::Run(
     std::vector<SparseVectorRow> init, bool use_count) {
-  const uint32_t n = graph_->num_nodes();
-  Status st = ValidateSparseInit(n, init, use_count);
-  if (!st.ok()) return st;
+  DGT_RETURN_IF_ERROR(ValidateSparseRows(graph_->num_nodes(), init, use_count));
 
   AsyncEventEngine<SparseVectorGossipPolicy> engine(graph_, options_);
   DGT_ASSIGN_OR_RETURN(auto out, engine.Run(std::move(init)));

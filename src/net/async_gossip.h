@@ -1,11 +1,9 @@
 // Event-driven push-sum gossip over the paper's section-3 link model —
 // relaxing the "time is discrete" assumption (its assumption ii) to
-// message-level asynchrony. Three front-ends over the same executor
-// (net/async_engine.h), one per value policy (net/gossip_state.h):
+// message-level asynchrony. Two front-ends over the same executor
+// (net/async_engine.h), one per value policy (gossip/gossip_state.h):
 //
 //   AsyncPushSum        — scalar state (paper variants 1/2).
-//   AsyncVectorPushSum  — dense vector state (variants 3/4 at small N,
-//                         kept for cross-validation).
 //   AsyncSparsePushSum  — CSR sparse rows (variant 4 / GCLR at scale),
 //                         the production path for event-driven
 //                         reputation aggregation.
@@ -26,24 +24,16 @@
 #include <vector>
 
 #include "common/result.h"
-#include "gossip/sparse_vector_engine.h"
+#include "gossip/gossip_state.h"
 #include "graph/graph.h"
 #include "net/async_engine.h"
 
 namespace dgt {
 
-struct AsyncGossipResult {
+struct AsyncGossipResult : AsyncEngineStats {
   std::vector<double> ratios;   // final per-node estimate
   std::vector<double> values;   // final y (node-resident mass)
   std::vector<double> weights;  // final g
-  bool converged = false;       // all nodes stopped before max_time
-  double sim_time = 0.0;        // when the last node stopped (or max_time)
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  uint64_t events = 0;  // DES events processed
-  // Firings of the slowest node until it stopped — comparable to the
-  // synchronous engine's step count.
-  uint32_t max_node_firings = 0;
 };
 
 class AsyncPushSum {
@@ -61,31 +51,6 @@ class AsyncPushSum {
   AsyncGossipOptions options_;
 };
 
-struct AsyncVectorGossipResult {
-  // Final per-node dense state (one row per node; c empty when the count
-  // channel is unused).
-  std::vector<std::vector<double>> y;
-  std::vector<std::vector<double>> g;
-  std::vector<std::vector<double>> c;
-  AsyncEngineStats stats;
-};
-
-class AsyncVectorPushSum {
- public:
-  AsyncVectorPushSum(const Graph* graph, AsyncGossipOptions options);
-
-  // y0/g0 are num_nodes x num_nodes; c0 must either be empty (count
-  // channel off) or have the same shape.
-  Result<AsyncVectorGossipResult> Run(
-      const std::vector<std::vector<double>>& y0,
-      const std::vector<std::vector<double>>& g0,
-      const std::vector<std::vector<double>>& c0);
-
- private:
-  const Graph* graph_;
-  AsyncGossipOptions options_;
-};
-
 struct AsyncSparseGossipResult {
   // Final node-resident rows (cols sorted; y/g, and c when use_count).
   std::vector<SparseVectorRow> rows;
@@ -96,9 +61,7 @@ class AsyncSparsePushSum {
  public:
   AsyncSparsePushSum(const Graph* graph, AsyncGossipOptions options);
 
-  // `init` as in SparseVectorPushSum::Run: one row per node, cols
-  // strictly increasing and in [0, num_nodes), y/g parallel to cols, and
-  // c parallel exactly when use_count.
+  // `init` as in SparseVectorPushSum::Run, checked by ValidateSparseRows.
   Result<AsyncSparseGossipResult> Run(std::vector<SparseVectorRow> init,
                                       bool use_count);
 

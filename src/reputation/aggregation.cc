@@ -7,7 +7,6 @@
 #include "common/thread_pool.h"
 #include "gossip/scalar_engine.h"
 #include "gossip/sparse_vector_engine.h"
-#include "gossip/vector_engine.h"
 
 namespace dgt {
 
@@ -26,25 +25,8 @@ Status ValidateInputs(const Graph& graph, const TrustMatrix& trust) {
   return Status::OK();
 }
 
-GossipRunStats StatsFromScalar(const GossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromVector(const VectorGossipResult& r) {
-  return {r.steps, r.converged, r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step};
-}
-
-GossipRunStats StatsFromSparse(const SparseVectorGossipResult& r) {
-  return {r.steps,           r.converged,
-          r.gossip_messages, r.control_messages,
-          r.mean_messages_per_active_node_step, r.peak_state_nonzeros};
-}
-
 // All trust rows as sorted (column, t) pairs — the deterministic sparse
-// iteration both vector engines' seeding and the yhat accumulation use,
-// so the two engine paths are float-for-float identical.
+// iteration the yhat accumulation uses.
 std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
     const TrustMatrix& trust) {
   std::vector<std::vector<std::pair<NodeId, double>>> rows;
@@ -57,7 +39,7 @@ std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
 
 // yhat_row[j] for observer i (see BuildNeighborhoodWeighting), accumulated
 // sparsely over the rated nodes' opinion rows in ascending node order:
-// O(|rated_i| * |row|) per observer, engine-independent.
+// O(|rated_i| * |row|) per observer.
 void FillYhatRow(
     const std::vector<std::vector<std::pair<NodeId, double>>>& sorted_rows,
     const WeightTable& table, std::vector<double>* yhat_row) {
@@ -136,7 +118,7 @@ Result<SingleAggregationResult> AggregateGlobalSingle(
   for (NodeId i = 0; i < graph.num_nodes(); ++i) {
     if (run.weights[i] == 0.0) out.estimates[i] = 0.0;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = GossipRunStats(run, 0);
   return out;
 }
 
@@ -179,7 +161,7 @@ Result<SingleAggregationResult> AggregateGclrSingle(
     if (denominator <= 0.0) continue;
     out.estimates[i] = (nw.yhat[i] + sum_est) / denominator;
   }
-  out.stats = StatsFromScalar(run);
+  out.stats = GossipRunStats(run, 0);
   // Pre-round neighbour feedback pushes: each opinator sends its direct
   // feedback about j to all its neighbours.
   for (NodeId i = 0; i < n; ++i) {
@@ -194,28 +176,6 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
   const uint32_t n = graph.num_nodes();
   VectorAggregationResult out;
-
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        g0[i][j] = 1.0;
-      }
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0));
-    out.estimates = std::move(run.estimates);
-    // Sentinel entries (no weight received) -> 0.
-    for (auto& row : out.estimates) {
-      for (auto& v : row) {
-        if (v == options.gossip.ratio_sentinel) v = 0.0;
-      }
-    }
-    out.stats = StatsFromVector(run);
-    return out;
-  }
 
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
@@ -236,12 +196,13 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   for (NodeId i = 0; i < n; ++i) {
     const auto& row = run.rows[i];
     for (size_t k = 0; k < row.cols.size(); ++k) {
-      // Mirror the dense path's sentinel -> 0 mapping exactly.
+      // An estimate that lands exactly on the sentinel reads as "no
+      // information", like the absent columns.
       if (row.estimates[k] == options.gossip.ratio_sentinel) continue;
       out.estimates[i][row.cols[k]] = row.estimates[k];
     }
   }
-  out.stats = StatsFromSparse(run);
+  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   return out;
 }
 
@@ -341,67 +302,19 @@ Result<VectorAggregationResult> AggregateGclrVector(
                        BuildAllWeightTables(trust, options.weights));
   const auto sorted_rows = AllSortedRows(trust);
 
-  VectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer i's output for target j from the gossiped (est, count_est).
-  // yhat_j is yhat_row[j] for observer i, accumulated sparsely over the
-  // rated nodes' opinion rows (the observer's interaction set; everyone
-  // else has weight exactly 1): O(sum_i |rated_i| * |row|).
-  auto assemble = [&](NodeId i, NodeId j, double yhat_j, double excess_den,
-                      double est, double count_channel) {
-    double count_est = options.denominator == DenominatorMode::kAllNodes
-                           ? static_cast<double>(n)
-                           : count_channel;
-    double denominator = excess_den + count_est;
-    if (denominator <= 0.0) return;
-    out.estimates[i][j] = (yhat_j + est) / denominator;
-  };
-
-  if (options.engine == VectorGossipEngine::kDense) {
-    std::vector<std::vector<double>> y0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> g0(n, std::vector<double>(n, 0.0));
-    std::vector<std::vector<double>> c0(n, std::vector<double>(n, 0.0));
-    for (NodeId i = 0; i < n; ++i) {
-      for (const auto& [j, t] : trust.Row(i)) {
-        y0[i][j] = t;
-        c0[i][j] = 1.0;
-      }
-      // For target j, node j itself holds the one-hot gossip weight.
-      g0[i][i] = 1.0;
-    }
-    VectorPushSum engine(&graph, options.gossip);
-    DGT_ASSIGN_OR_RETURN(VectorGossipResult run, engine.Run(y0, g0, c0));
-    // Observer post-processing (yhat accumulation + output assembly) is
-    // independent per observer, so it shards across its own pool; each
-    // observer writes only its own output row. Constructed only after
-    // the engine (and its pool) has finished.
-    ThreadPool pool(options.gossip.num_threads);
-    pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-      std::vector<double> yhat_row(n);
-      for (size_t idx = begin; idx < end; ++idx) {
-        const NodeId i = static_cast<NodeId>(idx);
-        FillYhatRow(sorted_rows, tables[i], &yhat_row);
-        const double excess_den = tables[i].TotalExcessWeight();
-        for (NodeId j = 0; j < n; ++j) {
-          double est = run.estimates[i][j];
-          if (est == options.gossip.ratio_sentinel) continue;
-          assemble(i, j, yhat_row[j], excess_den, est,
-                   run.count_estimates[i][j]);
-        }
-      }
-    });
-    out.stats = StatsFromVector(run);
-    // Pre-round feedback vectors: one per edge direction.
-    out.stats.control_messages += graph.DegreeSum();
-    return out;
-  }
-
   std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
   SparseVectorPushSum engine(&graph, options.gossip);
   DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
-  // See the dense branch: the post-processing pool lives only after the
-  // engine's own pool is gone.
+  VectorAggregationResult out;
+  out.estimates.assign(n, std::vector<double>(n, 0.0));
+  // Observer post-processing is independent per observer, so it shards
+  // across its own pool; each observer writes only its own output row.
+  // Constructed only after the engine (and its pool) has finished.
+  // Observer i's output for target j comes from the gossiped (est,
+  // count_est); yhat_j is yhat_row[j], accumulated sparsely over the rated
+  // nodes' opinion rows (the observer's interaction set; everyone else
+  // has weight exactly 1): O(sum_i |rated_i| * |row|).
   ThreadPool pool(options.gossip.num_threads);
   pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
     std::vector<double> yhat_row(n);
@@ -413,12 +326,17 @@ Result<VectorAggregationResult> AggregateGclrVector(
       for (size_t k = 0; k < row.cols.size(); ++k) {
         double est = row.estimates[k];
         if (est == options.gossip.ratio_sentinel) continue;
-        assemble(i, row.cols[k], yhat_row[row.cols[k]], excess_den, est,
-                 row.count_estimates[k]);
+        const NodeId j = row.cols[k];
+        double count_est = options.denominator == DenominatorMode::kAllNodes
+                               ? static_cast<double>(n)
+                               : row.count_estimates[k];
+        double denominator = excess_den + count_est;
+        if (denominator <= 0.0) continue;
+        out.estimates[i][j] = (yhat_row[j] + est) / denominator;
       }
     }
   });
-  out.stats = StatsFromSparse(run);
+  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;

@@ -29,27 +29,11 @@
 
 namespace dgt {
 
-// Which machinery runs the vector variants (3 and 4). Both produce
-// bit-for-bit identical estimates, step counts, and message counts for
-// the same options (see tests/gossip/sparse_vector_engine_test.cc).
-enum class VectorGossipEngine {
-  // SparseVectorPushSum: per-node state sized by its live nonzeros; the
-  // per-step cost follows the nonzeros pushed. The only engine that
-  // reaches large N (the dense one needs six N x N arrays — ~120 GB at
-  // the paper's N = 50,000).
-  kSparse,
-  // Dense VectorPushSum, kept for small-N cross-validation.
-  kDense,
-};
-
 struct AggregationOptions {
   // gossip.num_threads also governs the aggregation layer's own
   // per-observer post-processing (yhat accumulation + output assembly);
   // like the engines, results are identical at every thread count.
   GossipOptions gossip;
-
-  // Engine for AggregateGlobalVector / AggregateGclrVector.
-  VectorGossipEngine engine = VectorGossipEngine::kSparse;
 
   // Denominator population for GCLR (see reference.h). kOpinators matches
   // the algorithm boxes (the gossiped count channel).
@@ -66,22 +50,15 @@ struct AggregationOptions {
   NodeId designated_weight_node = 0;
 };
 
-struct GossipRunStats {
-  uint32_t steps = 0;
-  bool converged = false;
-  uint64_t gossip_messages = 0;
-  uint64_t control_messages = 0;
-  // See GossipResult::mean_messages_per_active_node_step.
-  double mean_messages_per_active_node_step = 0.0;
-  // Peak live nonzeros of the engine's state (sparse vector engine only;
-  // 0 for the scalar and dense engines). The large-N benches report it.
-  uint64_t peak_state_nonzeros = 0;
+struct GossipRunStats : PushSumStats {
+  GossipRunStats() = default;
+  GossipRunStats(const PushSumStats& run, uint64_t peak_nnz)
+      : PushSumStats(run), peak_state_nonzeros(peak_nnz) {}
 
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
+  // Peak live nonzeros of the sparse vector engine's state (the vector
+  // variants and GossipTrust; 0 for the scalar variants). The large-N
+  // benches report it.
+  uint64_t peak_state_nonzeros = 0;
 };
 
 struct SingleAggregationResult {

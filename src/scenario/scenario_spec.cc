@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "gossip/options.h"
+
 namespace dgt {
 
 namespace {
@@ -35,6 +37,14 @@ Status ValidateScenarioSpec(const ScenarioSpec& spec, uint32_t num_nodes) {
   if (!IsProbability(spec.refused_reciprocity_weight)) {
     return Status::InvalidArgument(
         "refused_reciprocity_weight must lie in [0, 1]");
+  }
+  if (!IsValidXi(spec.reputation.aggregation.gossip.xi)) {
+    return Status::InvalidArgument("xi must be finite and positive");
+  }
+  // A NaN delta fails every |change| > delta test, so changed opinions
+  // would never be pushed again.
+  if (!std::isfinite(spec.reputation.feedback_push_delta)) {
+    return Status::InvalidArgument("feedback_push_delta must be finite");
   }
   if (spec.lifecycle_enabled) {
     if (spec.assessment_window == 0) {

@@ -36,6 +36,20 @@ TEST(ChurnEngineTest, RejectsBadInput) {
                    .ok());
 }
 
+TEST(ChurnEngineTest, RejectsNegativeWeightsAndNonFiniteXi) {
+  // Regression: the churn engine accepted negative g0 (the scalar engine
+  // refuses it) and any xi that was not <= 0, NaN included.
+  Graph g = MakePaGraph(20);
+  std::vector<double> y(20, 0.5), w(20, 1.0);
+  w[4] = -1.0;
+  EXPECT_FALSE(ChurnPushSum(g, Gossip(), {}).Run(y, w).ok());
+  w[4] = 1.0;
+  for (double xi : {std::nan(""), HUGE_VAL}) {
+    EXPECT_FALSE(ChurnPushSum(g, Gossip(xi), {}).Run(y, w).ok())
+        << "xi=" << xi;
+  }
+}
+
 TEST(ChurnEngineTest, NoChurnMatchesPlainGossip) {
   Graph g = MakePaGraph(80, 2, 30);
   auto y0 = RandomValues(80, 4);

@@ -2,16 +2,17 @@
 // execution layer — for every engine, every push strategy, and both RNG
 // modes, a run at T ∈ {2, 4, 8} worker threads is EXPECT_EQ-on-doubles
 // identical to the 1-thread run (which, in kSequential mode, is itself
-// bit-for-bit the historical serial engine). Mirrors the PR 2
-// sparse/dense equivalence sweep, one dimension up.
+// bit-for-bit the historical serial engine). Mirrors the sparse/dense
+// equivalence sweep, one dimension up; the dense legs run the test-only
+// dense reference policy through the same executors.
 
 #include <tuple>
 #include <vector>
 
+#include "dense_vector_policy.h"
 #include "gossip/churn_engine.h"
 #include "gossip/scalar_engine.h"
 #include "gossip/sparse_vector_engine.h"
-#include "gossip/vector_engine.h"
 #include "net/async_gossip.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
@@ -19,8 +20,12 @@
 namespace dgt {
 namespace {
 
+using testing_util::DenseValues;
+using testing_util::DenseVectorPolicy;
 using testing_util::MakePaGraph;
 using testing_util::RandomValues;
+using testing_util::RunDense;
+using testing_util::SparseFromDense;
 
 constexpr uint32_t kThreadCounts[] = {2, 4, 8};
 
@@ -100,22 +105,12 @@ TEST_P(ParallelSerialEquivalence, DenseAndSparseVectorEngines) {
       }
     }
   }
-  std::vector<SparseVectorRow> sparse_init(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      if (y0[i][j] == 0.0 && g0[i][j] == 0.0 && c0[i][j] == 0.0) continue;
-      sparse_init[i].cols.push_back(j);
-      sparse_init[i].y.push_back(y0[i][j]);
-      sparse_init[i].g.push_back(g0[i][j]);
-      sparse_init[i].c.push_back(c0[i][j]);
-    }
-  }
+  const std::vector<SparseVectorRow> sparse_init = SparseFromDense(y0, g0, c0);
 
   GossipOptions o = BaseOptions(GetParam());
   o.xi = 1e-5;
   o.num_threads = 1;
-  VectorPushSum dense_serial(&g, o);
-  auto dense_base = dense_serial.Run(y0, g0, c0);
+  auto dense_base = RunDense(g, o, DenseValues(y0, g0, c0), true);
   ASSERT_TRUE(dense_base.ok()) << dense_base.status().ToString();
   SparseVectorPushSum sparse_serial(&g, o);
   auto sparse_base = sparse_serial.Run(sparse_init, /*use_count=*/true);
@@ -123,14 +118,17 @@ TEST_P(ParallelSerialEquivalence, DenseAndSparseVectorEngines) {
 
   for (uint32_t t : kThreadCounts) {
     o.num_threads = t;
-    VectorPushSum dense(&g, o);
-    auto dr = dense.Run(y0, g0, c0);
+    auto dr = RunDense(g, o, DenseValues(y0, g0, c0), true);
     ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-    EXPECT_EQ(dr->estimates, dense_base->estimates) << "T=" << t;
-    EXPECT_EQ(dr->count_estimates, dense_base->count_estimates) << "T=" << t;
-    EXPECT_EQ(dr->steps, dense_base->steps) << "T=" << t;
-    EXPECT_EQ(dr->gossip_messages, dense_base->gossip_messages) << "T=" << t;
-    EXPECT_EQ(dr->control_messages, dense_base->control_messages)
+    for (uint32_t i = 0; i < n; ++i) {
+      EXPECT_EQ(dr->state[i].y, dense_base->state[i].y) << "T=" << t;
+      EXPECT_EQ(dr->state[i].g, dense_base->state[i].g) << "T=" << t;
+      EXPECT_EQ(dr->state[i].c, dense_base->state[i].c) << "T=" << t;
+    }
+    EXPECT_EQ(dr->stats.steps, dense_base->stats.steps) << "T=" << t;
+    EXPECT_EQ(dr->stats.gossip_messages, dense_base->stats.gossip_messages)
+        << "T=" << t;
+    EXPECT_EQ(dr->stats.control_messages, dense_base->stats.control_messages)
         << "T=" << t;
 
     SparseVectorPushSum sparse(&g, o);
@@ -203,7 +201,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 // The event-driven engine's windowed lookahead executor: a run at any
 // thread count (0 = auto included) is EXPECT_EQ-on-doubles identical to
-// the 1-thread run, for all three value policies — the async analogue of
+// the 1-thread run, for every value policy — the async analogue of
 // the synchronous sweep above, and the retirement of the old "serialised
 // engine" InvalidArgument on num_threads.
 TEST(AsyncEquivalence, ScalarPolicyThreadCountInvariant) {
@@ -258,23 +256,14 @@ TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
       }
     }
   }
-  std::vector<SparseVectorRow> sparse_init(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      if (y0[i][j] == 0.0 && g0[i][j] == 0.0 && c0[i][j] == 0.0) continue;
-      sparse_init[i].cols.push_back(j);
-      sparse_init[i].y.push_back(y0[i][j]);
-      sparse_init[i].g.push_back(g0[i][j]);
-      sparse_init[i].c.push_back(c0[i][j]);
-    }
-  }
+  const std::vector<SparseVectorRow> sparse_init = SparseFromDense(y0, g0, c0);
 
   AsyncGossipOptions o;
   o.xi = 1e-4;
   o.seed = 12;
   o.num_threads = 1;
-  AsyncVectorPushSum dense_serial(&g, o);
-  auto dense_base = dense_serial.Run(y0, g0, c0);
+  AsyncEventEngine<DenseVectorPolicy> dense_serial(&g, o);
+  auto dense_base = dense_serial.Run(DenseValues(y0, g0, c0));
   ASSERT_TRUE(dense_base.ok()) << dense_base.status().ToString();
   AsyncSparsePushSum sparse_serial(&g, o);
   auto sparse_base = sparse_serial.Run(sparse_init, /*use_count=*/true);
@@ -283,12 +272,14 @@ TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
 
   for (uint32_t t : kThreadCounts) {
     o.num_threads = t;
-    AsyncVectorPushSum dense(&g, o);
-    auto dr = dense.Run(y0, g0, c0);
+    AsyncEventEngine<DenseVectorPolicy> dense(&g, o);
+    auto dr = dense.Run(DenseValues(y0, g0, c0));
     ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-    EXPECT_EQ(dr->y, dense_base->y) << "T=" << t;
-    EXPECT_EQ(dr->g, dense_base->g) << "T=" << t;
-    EXPECT_EQ(dr->c, dense_base->c) << "T=" << t;
+    for (uint32_t i = 0; i < n; ++i) {
+      EXPECT_EQ(dr->values[i].y, dense_base->values[i].y) << "T=" << t;
+      EXPECT_EQ(dr->values[i].g, dense_base->values[i].g) << "T=" << t;
+      EXPECT_EQ(dr->values[i].c, dense_base->values[i].c) << "T=" << t;
+    }
     EXPECT_EQ(dr->stats.sim_time, dense_base->stats.sim_time) << "T=" << t;
     EXPECT_EQ(dr->stats.gossip_messages, dense_base->stats.gossip_messages)
         << "T=" << t;

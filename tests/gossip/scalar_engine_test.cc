@@ -53,6 +53,21 @@ TEST(ScalarEngineTest, RejectsNonPositiveXi) {
           .ok());
 }
 
+TEST(ScalarEngineTest, RejectsNonFiniteXi) {
+  // Regression: only xi <= 0 was refused, so a NaN tolerance ran to the
+  // max_steps cap and reported an OK, unconverged result.
+  Graph g = MakePaGraph(20);
+  for (double xi : {std::nan(""), HUGE_VAL}) {
+    GossipOptions o = Opts();
+    o.xi = xi;
+    ScalarPushSum engine(&g, o);
+    EXPECT_FALSE(
+        engine.Run(std::vector<double>(20, 1.0), std::vector<double>(20, 1.0))
+            .ok())
+        << "xi=" << xi;
+  }
+}
+
 TEST(ScalarEngineTest, MassConservationExact) {
   Graph g = MakePaGraph(100);
   auto y0 = RandomValues(100, 5);

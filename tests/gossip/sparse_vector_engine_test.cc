@@ -1,9 +1,16 @@
 #include "gossip/sparse_vector_engine.h"
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <numeric>
 #include <tuple>
 #include <vector>
 
-#include "gossip/vector_engine.h"
+#include "common/thread_pool.h"
+#include "dense_vector_policy.h"
+#include "gossip/push_sum.h"
+#include "gossip/scalar_engine.h"
 #include "graph/graph.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
@@ -11,7 +18,11 @@
 namespace dgt {
 namespace {
 
+using testing_util::DenseValues;
+using testing_util::Densify;
 using testing_util::MakePaGraph;
+using testing_util::RunDense;
+using testing_util::SparseFromDense;
 
 GossipOptions Opts(double xi = 1e-8, uint64_t seed = 3) {
   GossipOptions o;
@@ -23,26 +34,6 @@ GossipOptions Opts(double xi = 1e-8, uint64_t seed = 3) {
 
 std::vector<std::vector<double>> Matrix(uint32_t n, double fill) {
   return std::vector<std::vector<double>>(n, std::vector<double>(n, fill));
-}
-
-// Sparse rows equivalent to dense row-major matrices (zeros dropped).
-std::vector<SparseVectorRow> FromDense(
-    const std::vector<std::vector<double>>& y0,
-    const std::vector<std::vector<double>>& g0,
-    const std::vector<std::vector<double>>& c0 = {}) {
-  const uint32_t n = static_cast<uint32_t>(y0.size());
-  std::vector<SparseVectorRow> rows(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      const double c = c0.empty() ? 0.0 : c0[i][j];
-      if (y0[i][j] == 0.0 && g0[i][j] == 0.0 && c == 0.0) continue;
-      rows[i].cols.push_back(j);
-      rows[i].y.push_back(y0[i][j]);
-      rows[i].g.push_back(g0[i][j]);
-      if (!c0.empty()) rows[i].c.push_back(c);
-    }
-  }
-  return rows;
 }
 
 TEST(SparseVectorEngineTest, RejectsBadInput) {
@@ -77,17 +68,25 @@ TEST(SparseVectorEngineTest, RejectsBadInput) {
   EXPECT_FALSE(engine.Run(rows, false).ok());
   rows[3].cols = {2, 4};
   EXPECT_TRUE(engine.Run(rows, false).ok());
-  // xi must be positive.
-  GossipOptions bad = Opts();
-  bad.xi = 0.0;
-  SparseVectorPushSum bad_engine(&g, bad);
-  EXPECT_FALSE(bad_engine.Run(std::vector<SparseVectorRow>(10), false).ok());
+  // Negative gossip weight (the event-driven engine already refused it).
+  rows[3].g = {1.0, -1.0};
+  EXPECT_FALSE(engine.Run(rows, false).ok());
+  // xi must be finite and positive.
+  for (double xi : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
+                    std::numeric_limits<double>::infinity()}) {
+    GossipOptions bad = Opts();
+    bad.xi = xi;
+    SparseVectorPushSum bad_engine(&g, bad);
+    EXPECT_FALSE(bad_engine.Run(std::vector<SparseVectorRow>(10), false).ok())
+        << "xi=" << xi;
+  }
 }
 
 // The load-bearing guarantee: for the same options and initial state the
-// sparse engine reproduces the dense engine bit for bit — estimates, step
-// count, message counts, and the Table 2 metric. Swept over network size,
-// push strategy, packet loss, and the count channel.
+// sparse engine reproduces the dense reference policy (run through the
+// same executor) bit for bit — estimates, step count, message counts, and
+// the Table 2 metric. Swept over network size, push strategy, packet
+// loss, and the count channel.
 using EquivalenceParam = std::tuple<uint32_t, PushStrategy, double, bool>;
 
 class SparseDenseEquivalence
@@ -117,24 +116,23 @@ TEST_P(SparseDenseEquivalence, BitForBitIdenticalToDenseEngine) {
   o.strategy = strategy;
   o.packet_loss_prob = loss;
 
-  VectorPushSum dense(&g, o);
+  if (!use_count) c0.clear();
+  auto rd = RunDense(g, o, DenseValues(y0, g0, c0), use_count);
   SparseVectorPushSum sparse(&g, o);
-  auto rd = use_count ? dense.Run(y0, g0, c0) : dense.Run(y0, g0);
-  auto rs = sparse.Run(
-      use_count ? FromDense(y0, g0, c0) : FromDense(y0, g0), use_count);
+  auto rs = sparse.Run(SparseFromDense(y0, g0, c0), use_count);
   ASSERT_TRUE(rd.ok()) << rd.status().ToString();
   ASSERT_TRUE(rs.ok()) << rs.status().ToString();
 
-  EXPECT_EQ(rd->steps, rs->steps);
-  EXPECT_EQ(rd->converged, rs->converged);
-  EXPECT_EQ(rd->gossip_messages, rs->gossip_messages);
-  EXPECT_EQ(rd->control_messages, rs->control_messages);
-  EXPECT_EQ(rd->mean_messages_per_active_node_step,
+  EXPECT_EQ(rd->stats.steps, rs->steps);
+  EXPECT_EQ(rd->stats.converged, rs->converged);
+  EXPECT_EQ(rd->stats.gossip_messages, rs->gossip_messages);
+  EXPECT_EQ(rd->stats.control_messages, rs->control_messages);
+  EXPECT_EQ(rd->stats.mean_messages_per_active_node_step,
             rs->mean_messages_per_active_node_step);
-  EXPECT_EQ(rd->estimates, rs->DenseEstimates(o.ratio_sentinel));
+  EXPECT_EQ(rd->Estimates(o.ratio_sentinel), Densify(*rs, o.ratio_sentinel));
   if (use_count) {
-    EXPECT_EQ(rd->count_estimates,
-              rs->DenseCountEstimates(o.ratio_sentinel));
+    EXPECT_EQ(rd->Estimates(o.ratio_sentinel, /*count=*/true),
+              Densify(*rs, o.ratio_sentinel, /*count=*/true));
   }
 }
 
@@ -171,10 +169,10 @@ TEST(SparseVectorEngineTest, AllColumnsConvergeToColumnAverages) {
   for (auto& t : truth) t /= n;
 
   SparseVectorPushSum engine(&g, Opts(1e-9));
-  auto r = engine.Run(FromDense(y0, g0), false);
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->converged);
-  auto est = r->DenseEstimates(Opts().ratio_sentinel);
+  auto est = Densify(*r, Opts().ratio_sentinel);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
       EXPECT_NEAR(est[i][j], truth[j], 5e-3)
@@ -197,10 +195,10 @@ TEST(SparseVectorEngineTest, SentinelForUnreachedWeight) {
   c0[0][0] = 1.0;
   GossipOptions o = Opts(1e-9);
   SparseVectorPushSum engine(&*g, o);
-  auto r = engine.Run(FromDense(y0, g0, c0), true);
+  auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
-  auto est = r->DenseEstimates(o.ratio_sentinel);
-  auto cnt = r->DenseCountEstimates(o.ratio_sentinel);
+  auto est = Densify(*r, o.ratio_sentinel);
+  auto cnt = Densify(*r, o.ratio_sentinel, /*count=*/true);
   EXPECT_EQ(est[2][0], o.ratio_sentinel);
   EXPECT_EQ(est[3][0], o.ratio_sentinel);
   EXPECT_EQ(cnt[2][0], o.ratio_sentinel);
@@ -215,8 +213,8 @@ TEST(SparseVectorEngineTest, DeterministicAcrossRuns) {
   auto y0 = Matrix(n, 0.5);
   auto g0 = Matrix(n, 1.0);
   SparseVectorPushSum a(&g, Opts()), b(&g, Opts());
-  auto ra = a.Run(FromDense(y0, g0), false);
-  auto rb = b.Run(FromDense(y0, g0), false);
+  auto ra = a.Run(SparseFromDense(y0, g0), false);
+  auto rb = b.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_EQ(ra->steps, rb->steps);
   for (uint32_t i = 0; i < n; ++i) {
@@ -233,7 +231,7 @@ TEST(SparseVectorEngineTest, MaxStepsCap) {
   GossipOptions o = Opts(1e-15);
   o.max_steps = 3;
   SparseVectorPushSum engine(&g, o);
-  auto r = engine.Run(FromDense(y0, g0), false);
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->steps, 3u);
   EXPECT_FALSE(r->converged);
@@ -247,12 +245,19 @@ TEST(SparseVectorEngineTest, UniformPushChargesNoDegreeAnnouncements) {
   GossipOptions o = Opts(1e-6);
   o.strategy = PushStrategy::kUniform;
   SparseVectorPushSum engine(&g, o);
-  auto r = engine.Run(FromDense(y0, g0), false);
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
   // Every node announces convergence once (degree messages); there is no
   // degree-announcement round because plain push never uses degrees.
   EXPECT_EQ(r->control_messages, g.DegreeSum());
+
+  // Differential push still pays the degree-announcement round.
+  SparseVectorPushSum diff(&g, Opts(1e-6));
+  auto dr = diff.Run(SparseFromDense(y0, g0), false);
+  ASSERT_TRUE(dr.ok());
+  ASSERT_TRUE(dr->converged);
+  EXPECT_EQ(dr->control_messages, 2 * g.DegreeSum());
 }
 
 TEST(SparseVectorEngineTest, EarlyStateStaysProportionalToNonzeros) {
@@ -275,6 +280,132 @@ TEST(SparseVectorEngineTest, EarlyStateStaysProportionalToNonzeros) {
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->peak_state_nonzeros, 0u);
   EXPECT_LT(r->peak_state_nonzeros, static_cast<uint64_t>(n) * n / 4);
+}
+
+TEST(SparseVectorEngineTest, MatchesScalarEngineLimitPerColumn) {
+  // The vector engine must converge to the same per-column limits as a
+  // scalar run (they share the aggregation semantics).
+  const uint32_t n = 30;
+  Graph g = MakePaGraph(n, 2, 11);
+  auto y0 = Matrix(n, 0.0);
+  auto g0 = Matrix(n, 0.0);
+  Rng rng(6);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < n; ++j) {
+      if (rng.NextBernoulli(0.3)) {
+        y0[i][j] = rng.NextDouble();
+        g0[i][j] = 1.0;
+      }
+    }
+  }
+  SparseVectorPushSum vec(&g, Opts(1e-10));
+  auto rv = vec.Run(SparseFromDense(y0, g0), false);
+  ASSERT_TRUE(rv.ok());
+  auto est = Densify(*rv, Opts().ratio_sentinel);
+
+  // Column 7 via the scalar engine.
+  std::vector<double> yc(n), gc(n);
+  for (uint32_t i = 0; i < n; ++i) {
+    yc[i] = y0[i][7];
+    gc[i] = g0[i][7];
+  }
+  ScalarPushSum scal(&g, Opts(1e-10));
+  auto rs = scal.Run(yc, gc);
+  ASSERT_TRUE(rs.ok());
+  // Both approximate sum(yc)/sum(gc) wherever weight reached.
+  double truth = std::accumulate(yc.begin(), yc.end(), 0.0) /
+                 std::accumulate(gc.begin(), gc.end(), 0.0);
+  for (uint32_t i = 0; i < n; ++i) {
+    EXPECT_NEAR(est[i][7], truth, 5e-3);
+    EXPECT_NEAR(rs->ratios[i], truth, 5e-3);
+  }
+}
+
+TEST(SparseVectorEngineTest, CountChannelTracksOpinators) {
+  const uint32_t n = 30;
+  Graph g = MakePaGraph(n, 2, 12);
+  auto y0 = Matrix(n, 0.0);
+  auto g0 = Matrix(n, 0.0);
+  auto c0 = Matrix(n, 0.0);
+  // One-hot weight at node j for each column j; ~35% opinators per column.
+  std::vector<double> expected_count(n, 0.0);
+  Rng rng(7);
+  for (uint32_t j = 0; j < n; ++j) {
+    g0[j][j] = 1.0;
+    for (uint32_t i = 0; i < n; ++i) {
+      if (rng.NextBernoulli(0.35)) {
+        c0[i][j] = 1.0;
+        expected_count[j] += 1.0;
+      }
+    }
+  }
+  SparseVectorPushSum engine(&g, Opts(1e-10));
+  auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
+  ASSERT_TRUE(r.ok());
+  auto cnt = Densify(*r, Opts().ratio_sentinel, /*count=*/true);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < n; ++j) {
+      EXPECT_NEAR(cnt[i][j], expected_count[j], 0.5)
+          << "node " << i << " target " << j;
+    }
+  }
+}
+
+TEST(SparseVectorEngineTest, MassConservedPerColumn) {
+  // Runs the executor directly: the front-end reports ratios only, and
+  // conservation is a property of the raw y/g mass.
+  const uint32_t n = 25;
+  Graph g = MakePaGraph(n, 2, 13);
+  auto y0 = Matrix(n, 0.0);
+  auto g0 = Matrix(n, 1.0);
+  Rng rng(8);
+  std::vector<double> col_sum(n, 0.0);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < n; ++j) {
+      y0[i][j] = rng.NextDouble();
+      col_sum[j] += y0[i][j];
+    }
+  }
+  GossipOptions o = Opts(1e-6);
+  o.packet_loss_prob = 0.2;  // loss must not destroy mass either
+  std::vector<SparseVectorRow> state = SparseFromDense(y0, g0);
+  SparseVectorGossipPolicy policy(state, o.ratio_sentinel, false);
+  ThreadPool pool(1);
+  auto r = RunPushSum(
+      g, o, PushCounts(g.Adjacency(), o.strategy, o.k_rounding), policy,
+      state, pool);
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(r->converged);
+  std::vector<double> y_after(n, 0.0), g_after(n, 0.0);
+  for (const SparseVectorRow& row : state) {
+    for (size_t k = 0; k < row.cols.size(); ++k) {
+      y_after[row.cols[k]] += row.y[k];
+      g_after[row.cols[k]] += row.g[k];
+    }
+  }
+  for (uint32_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(y_after[j], col_sum[j], 1e-9) << "column " << j;
+    EXPECT_NEAR(g_after[j], static_cast<double>(n), 1e-9) << "column " << j;
+    for (const SparseVectorRow& row : state) {
+      auto it = std::lower_bound(row.cols.begin(), row.cols.end(), j);
+      ASSERT_TRUE(it != row.cols.end() && *it == j);
+      const size_t k = static_cast<size_t>(it - row.cols.begin());
+      EXPECT_NEAR(row.y[k] / row.g[k], col_sum[j] / n, 0.05);
+    }
+  }
+}
+
+TEST(SparseVectorEngineTest, StatsPopulated) {
+  const uint32_t n = 40;
+  Graph g = MakePaGraph(n, 2, 16);
+  auto y0 = Matrix(n, 0.2);
+  auto g0 = Matrix(n, 1.0);
+  SparseVectorPushSum engine(&g, Opts(1e-6));
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
+  ASSERT_TRUE(r.ok());
+  EXPECT_GT(r->gossip_messages, 0u);
+  EXPECT_GE(r->control_messages, g.DegreeSum());
+  EXPECT_GT(r->mean_messages_per_active_node_step, 0.5);
 }
 
 }  // namespace

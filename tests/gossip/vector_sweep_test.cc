@@ -1,19 +1,23 @@
-// Parameterized sweeps for the vector engine: per-column convergence to
-// the correct limits must survive strategy and packet-loss choices, and
-// the count channel must stay consistent with the weight channel.
+// Parameterized sweeps for the vector push-sum (the sparse engine):
+// per-column convergence to the correct limits must survive strategy and
+// packet-loss choices, and the count channel must stay consistent with the
+// weight channel.
 
 #include <cmath>
 #include <string>
 #include <tuple>
 
-#include "gossip/vector_engine.h"
+#include "dense_vector_policy.h"
+#include "gossip/sparse_vector_engine.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
 namespace dgt {
 namespace {
 
+using testing_util::Densify;
 using testing_util::MakePaGraph;
+using testing_util::SparseFromDense;
 
 using VecParam = std::tuple<PushStrategy, double>;
 
@@ -48,15 +52,16 @@ TEST_P(VectorSweep, ColumnsConvergeToColumnLimits) {
       col_weight[j] += 1.0;
     }
   }
-  VectorPushSum engine(&g, Options());
-  auto r = engine.Run(y0, g0);
+  SparseVectorPushSum engine(&g, Options());
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
+  auto est = Densify(*r, Options().ratio_sentinel);
   for (uint32_t j = 0; j < kN; ++j) {
     if (col_weight[j] == 0.0) continue;
     double truth = col_sum[j] / col_weight[j];
     for (uint32_t i = 0; i < kN; ++i) {
-      EXPECT_NEAR(r->estimates[i][j], truth, 0.01)
+      EXPECT_NEAR(est[i][j], truth, 0.01)
           << "node " << i << " target " << j;
     }
   }
@@ -78,13 +83,14 @@ TEST_P(VectorSweep, CountChannelConsistentWithWeights) {
       }
     }
   }
-  VectorPushSum engine(&g, Options());
-  auto r = engine.Run(y0, g0, c0);
+  SparseVectorPushSum engine(&g, Options());
+  auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
+  auto cnt = Densify(*r, Options().ratio_sentinel, /*count=*/true);
   for (uint32_t i = 0; i < kN; ++i) {
     for (uint32_t j = 0; j < kN; ++j) {
-      EXPECT_NEAR(r->count_estimates[i][j], opinators[j], 0.5)
+      EXPECT_NEAR(cnt[i][j], opinators[j], 0.5)
           << "node " << i << " target " << j;
     }
   }

@@ -33,6 +33,14 @@ TEST(AsyncGossipTest, RejectsBadInput) {
   bad.xi = 0.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
                    .ok());
+  // Regression: a NaN xi ran to max_time and reported OK, unconverged.
+  for (double xi : {std::nan(""), HUGE_VAL}) {
+    bad = Opts();
+    bad.xi = xi;
+    EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                     .ok())
+        << "xi=" << xi;
+  }
   bad = Opts();
   bad.push_period = 0.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))

@@ -1,23 +1,25 @@
-// Invariants of the event-driven engine's vector/sparse state policies:
-// mass conservation including in-flight shares, dense-vs-sparse policy
-// agreement (bit-for-bit: both walk columns ascending with identical
-// accumulation order), and tolerance-bounded convergence-value agreement
-// between the asynchronous engine and the synchronous sparse engine on
-// the same trust-shaped initial state.
+// Invariants of the event-driven engine's sparse state policy: mass
+// conservation including in-flight shares, agreement with the test-only
+// dense reference policy (bit-for-bit: both walk columns ascending with
+// identical accumulation order), and tolerance-bounded convergence-value
+// agreement between the asynchronous engine and the synchronous sparse
+// engine on the same trust-shaped initial state.
 
 #include <cmath>
 #include <limits>
 #include <vector>
 
+#include "dense_vector_policy.h"
 #include "gossip/sparse_vector_engine.h"
 #include "net/async_gossip.h"
-#include "net/gossip_state.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
 namespace dgt {
 namespace {
 
+using testing_util::DenseValues;
+using testing_util::DenseVectorPolicy;
 using testing_util::MakePaGraph;
 
 // GCLR-shaped initial state: sparse opinions with a count channel and a
@@ -119,8 +121,8 @@ TEST(AsyncSparsePolicy, DenseAndSparsePoliciesBitForBitAgree) {
   o.xi = 1e-4;
   o.seed = 21;
   o.num_threads = 4;
-  AsyncVectorPushSum dense(&g, o);
-  auto dr = dense.Run(y0, g0, c0);
+  AsyncEventEngine<DenseVectorPolicy> dense(&g, o);
+  auto dr = dense.Run(DenseValues(y0, g0, c0));
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
   AsyncSparsePushSum sparse(&g, o);
   auto sr = sparse.Run(sparse_init, /*use_count=*/true);
@@ -137,9 +139,9 @@ TEST(AsyncSparsePolicy, DenseAndSparsePoliciesBitForBitAgree) {
       dense_g[sr->rows[i].cols[k]] = sr->rows[i].g[k];
       dense_c[sr->rows[i].cols[k]] = sr->rows[i].c[k];
     }
-    EXPECT_EQ(dense_y, dr->y[i]) << "node " << i;
-    EXPECT_EQ(dense_g, dr->g[i]) << "node " << i;
-    EXPECT_EQ(dense_c, dr->c[i]) << "node " << i;
+    EXPECT_EQ(dense_y, dr->values[i].y) << "node " << i;
+    EXPECT_EQ(dense_g, dr->values[i].g) << "node " << i;
+    EXPECT_EQ(dense_c, dr->values[i].c) << "node " << i;
   }
 }
 

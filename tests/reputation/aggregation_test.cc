@@ -163,35 +163,15 @@ TEST(AggregateGclrVectorTest, UniformWeightsCollapseToGlobal) {
   }
 }
 
-// The engine switch must be invisible: the sparse and dense vector
-// engines produce identical estimates and run statistics, so small-N
-// cross-validation with kDense carries over to large-N kSparse runs.
-TEST(AggregationTest, SparseAndDenseEnginesMatchBitForBit) {
-  Graph g = MakePaGraph(48, 2, 72);
-  TrustMatrix t(48);
-  FillTrust(g, &t, 73);
-  AggregationOptions sparse = Opts(1e-8);
-  sparse.engine = VectorGossipEngine::kSparse;
-  AggregationOptions dense = sparse;
-  dense.engine = VectorGossipEngine::kDense;
-
-  auto gs = AggregateGlobalVector(g, t, sparse);
-  auto gd = AggregateGlobalVector(g, t, dense);
-  ASSERT_TRUE(gs.ok() && gd.ok());
-  EXPECT_EQ(gs->estimates, gd->estimates);
-  EXPECT_EQ(gs->stats.steps, gd->stats.steps);
-  EXPECT_EQ(gs->stats.gossip_messages, gd->stats.gossip_messages);
-  EXPECT_EQ(gs->stats.control_messages, gd->stats.control_messages);
-
-  auto cs = AggregateGclrVector(g, t, sparse);
-  auto cd = AggregateGclrVector(g, t, dense);
-  ASSERT_TRUE(cs.ok() && cd.ok());
-  EXPECT_EQ(cs->estimates, cd->estimates);
-  EXPECT_EQ(cs->stats.steps, cd->stats.steps);
-  EXPECT_EQ(cs->stats.gossip_messages, cd->stats.gossip_messages);
-  EXPECT_EQ(cs->stats.control_messages, cd->stats.control_messages);
-  EXPECT_EQ(cs->stats.mean_messages_per_active_node_step,
-            cd->stats.mean_messages_per_active_node_step);
+TEST(AggregationTest, GclrVectorRejectsNonFiniteXi) {
+  // Regression: a NaN xi ran the sparse engine to its max_steps cap and
+  // returned OK with converged = false.
+  Graph g = MakePaGraph(20, 2, 74);
+  TrustMatrix t(20);
+  FillTrust(g, &t, 75);
+  AggregationOptions o = Opts();
+  o.gossip.xi = std::nan("");
+  EXPECT_FALSE(AggregateGclrVector(g, t, o).ok());
 }
 
 TEST(AggregationTest, UniformAndDifferentialShareTheLimit) {

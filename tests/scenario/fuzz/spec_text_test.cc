@@ -199,6 +199,20 @@ TEST(SpecTextTest, RejectsMalformedInput) {
          const size_t eol = t.find('\n', pos);
          return t.replace(pos, eol - pos, "graph torus 8 2 1");
        }(), "unknown topology"},
+      // Regression: these parsed and validated, yet no gossip round could
+      // converge under a NaN xi.
+      {"nan xi", [&] {
+         std::string t = good;
+         const size_t pos = t.find("\nxi ") + 1;
+         const size_t eol = t.find('\n', pos);
+         return t.replace(pos, eol - pos, "xi nan");
+       }(), "xi must be finite and positive"},
+      {"nan feedback delta", [&] {
+         std::string t = good;
+         const size_t pos = t.find("feedback_push_delta ");
+         const size_t eol = t.find('\n', pos);
+         return t.replace(pos, eol - pos, "feedback_push_delta nan");
+       }(), "feedback_push_delta must be finite"},
   };
   for (const Case& c : cases) {
     Result<GeneratedScenario> decoded = SpecFromText(c.text);

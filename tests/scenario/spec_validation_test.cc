@@ -4,6 +4,7 @@
 // the fuzz generator's contract ("every generated spec validates") is
 // only as strong as the validator itself.
 
+#include <cmath>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -49,6 +50,21 @@ TEST(SpecValidationTest, RejectsZeroRoundsAndZeroTtl) {
   spec.discovery = DiscoveryMode::kQueryFlood;
   spec.query_ttl = 0;
   ExpectInvalid(spec, 8, "query_ttl must be >= 1");
+}
+
+TEST(SpecValidationTest, RejectsNonFiniteGossipTolerances) {
+  // Regression: a NaN xi validated and then ran every gossip round to its
+  // step cap; a NaN feedback_push_delta silently disabled re-pushes.
+  for (double xi : {std::nan(""), HUGE_VAL, 0.0}) {
+    ScenarioSpec spec = MakeValidSpec(8);
+    spec.reputation.aggregation.gossip.xi = xi;
+    ExpectInvalid(spec, 8, "xi must be finite and positive");
+  }
+  for (double delta : {std::nan(""), HUGE_VAL}) {
+    ScenarioSpec spec = MakeValidSpec(8);
+    spec.reputation.feedback_push_delta = delta;
+    ExpectInvalid(spec, 8, "feedback_push_delta must be finite");
+  }
 }
 
 TEST(SpecValidationTest, RejectsProbabilitiesOutsideUnitInterval) {
