@@ -1,18 +1,28 @@
-#include "gossip/vector_engine.h"
+#include "gossip/sparse_vector_engine.h"
 
+#include <algorithm>
 #include <numeric>
+#include <vector>
 
+#include "common/thread_pool.h"
+#include "dense_vector_policy.h"
+#include "gossip/push_sum.h"
 #include "gossip/scalar_engine.h"
-#include "graph/generators.h"
+#include "graph/graph.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
+
+// Per-target vector push-sum (eq. 7): limits, the count channel, mass
+// conservation and message accounting. These run on the sparse engine,
+// the library's only vector engine; where a case needs the raw y/g state
+// it calls the executor directly.
 
 namespace dgt {
 namespace {
 
+using testing_util::Densify;
 using testing_util::MakePaGraph;
-using testing_util::Mean;
-using testing_util::RandomValues;
+using testing_util::SparseFromDense;
 
 GossipOptions Opts(double xi = 1e-8, uint64_t seed = 3) {
   GossipOptions o;
@@ -24,44 +34,6 @@ GossipOptions Opts(double xi = 1e-8, uint64_t seed = 3) {
 
 std::vector<std::vector<double>> Matrix(uint32_t n, double fill) {
   return std::vector<std::vector<double>>(n, std::vector<double>(n, fill));
-}
-
-TEST(VectorEngineTest, RejectsBadDimensions) {
-  Graph g = MakePaGraph(10);
-  VectorPushSum engine(&g, Opts());
-  EXPECT_FALSE(engine.Run(Matrix(9, 0.0), Matrix(10, 1.0)).ok());
-  auto ragged = Matrix(10, 0.0);
-  ragged[4].pop_back();
-  EXPECT_FALSE(engine.Run(ragged, Matrix(10, 1.0)).ok());
-  EXPECT_FALSE(engine.Run(Matrix(10, 0.0), Matrix(10, 1.0), Matrix(9, 0.0))
-                   .ok());
-}
-
-TEST(VectorEngineTest, AllColumnsConvergeToColumnAverages) {
-  const uint32_t n = 40;
-  Graph g = MakePaGraph(n);
-  auto y0 = Matrix(n, 0.0);
-  auto g0 = Matrix(n, 1.0);
-  Rng rng(5);
-  std::vector<double> truth(n, 0.0);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      y0[i][j] = rng.NextDouble();
-      truth[j] += y0[i][j];
-    }
-  }
-  for (auto& t : truth) t /= n;
-
-  VectorPushSum engine(&g, Opts(1e-9));
-  auto r = engine.Run(y0, g0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->converged);
-  for (uint32_t i = 0; i < n; ++i) {
-    for (uint32_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(r->estimates[i][j], truth[j], 5e-3)
-          << "node " << i << " target " << j;
-    }
-  }
 }
 
 TEST(VectorEngineTest, MatchesScalarEngineLimitPerColumn) {
@@ -80,9 +52,10 @@ TEST(VectorEngineTest, MatchesScalarEngineLimitPerColumn) {
       }
     }
   }
-  VectorPushSum vec(&g, Opts(1e-10));
-  auto rv = vec.Run(y0, g0);
+  SparseVectorPushSum vec(&g, Opts(1e-10));
+  auto rv = vec.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(rv.ok());
+  auto est = Densify(*rv, Opts().ratio_sentinel);
 
   // Column 7 via the scalar engine.
   std::vector<double> yc(n), gc(n);
@@ -97,7 +70,7 @@ TEST(VectorEngineTest, MatchesScalarEngineLimitPerColumn) {
   double truth = std::accumulate(yc.begin(), yc.end(), 0.0) /
                  std::accumulate(gc.begin(), gc.end(), 0.0);
   for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(rv->estimates[i][7], truth, 5e-3);
+    EXPECT_NEAR(est[i][7], truth, 5e-3);
     EXPECT_NEAR(rs->ratios[i], truth, 5e-3);
   }
 }
@@ -108,7 +81,7 @@ TEST(VectorEngineTest, CountChannelTracksOpinators) {
   auto y0 = Matrix(n, 0.0);
   auto g0 = Matrix(n, 0.0);
   auto c0 = Matrix(n, 0.0);
-  // One-hot weight at node j for each column j; 10 opinators per column.
+  // One-hot weight at node j for each column j; ~35% opinators per column.
   std::vector<double> expected_count(n, 0.0);
   Rng rng(7);
   for (uint32_t j = 0; j < n; ++j) {
@@ -120,19 +93,21 @@ TEST(VectorEngineTest, CountChannelTracksOpinators) {
       }
     }
   }
-  VectorPushSum engine(&g, Opts(1e-10));
-  auto r = engine.Run(y0, g0, c0);
+  SparseVectorPushSum engine(&g, Opts(1e-10));
+  auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
-  ASSERT_FALSE(r->count_estimates.empty());
+  auto cnt = Densify(*r, Opts().ratio_sentinel, /*count=*/true);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
-      EXPECT_NEAR(r->count_estimates[i][j], expected_count[j], 0.5)
+      EXPECT_NEAR(cnt[i][j], expected_count[j], 0.5)
           << "node " << i << " target " << j;
     }
   }
 }
 
 TEST(VectorEngineTest, MassConservedPerColumn) {
+  // Runs the executor directly: the front-end reports ratios only, and
+  // conservation is a property of the raw y/g mass.
   const uint32_t n = 25;
   Graph g = MakePaGraph(n, 2, 13);
   auto y0 = Matrix(n, 0.0);
@@ -147,45 +122,31 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
   }
   GossipOptions o = Opts(1e-6);
   o.packet_loss_prob = 0.2;  // loss must not destroy mass either
-  VectorPushSum engine(&g, o);
-  auto r = engine.Run(y0, g0);
+  std::vector<SparseVectorRow> state = SparseFromDense(y0, g0);
+  SparseVectorGossipPolicy policy(state, o.ratio_sentinel, false);
+  ThreadPool pool(1);
+  auto r = RunPushSum(
+      g, o, PushCounts(g.Adjacency(), o.strategy, o.k_rounding), policy,
+      state, pool);
   ASSERT_TRUE(r.ok());
-  // Recover final y by estimate * weight is not exposed; instead verify
-  // the converged estimates are consistent with conserved mass:
-  // every estimate approximates col_sum[j] / n.
-  for (uint32_t j = 0; j < n; ++j) {
-    double expect = col_sum[j] / n;
-    for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_NEAR(r->estimates[i][j], expect, 0.05);
+  ASSERT_TRUE(r->converged);
+  std::vector<double> y_after(n, 0.0), g_after(n, 0.0);
+  for (const SparseVectorRow& row : state) {
+    for (size_t k = 0; k < row.cols.size(); ++k) {
+      y_after[row.cols[k]] += row.y[k];
+      g_after[row.cols[k]] += row.g[k];
     }
   }
-}
-
-TEST(VectorEngineTest, DeterministicAcrossRuns) {
-  const uint32_t n = 20;
-  Graph g = MakePaGraph(n, 2, 14);
-  auto y0 = Matrix(n, 0.5);
-  auto g0 = Matrix(n, 1.0);
-  VectorPushSum a(&g, Opts()), b(&g, Opts());
-  auto ra = a.Run(y0, g0);
-  auto rb = b.Run(y0, g0);
-  ASSERT_TRUE(ra.ok() && rb.ok());
-  EXPECT_EQ(ra->steps, rb->steps);
-  EXPECT_EQ(ra->estimates, rb->estimates);
-}
-
-TEST(VectorEngineTest, MaxStepsCap) {
-  const uint32_t n = 50;
-  Graph g = MakePaGraph(n, 2, 15);
-  auto y0 = Matrix(n, 0.1);
-  auto g0 = Matrix(n, 1.0);
-  GossipOptions o = Opts(1e-15);
-  o.max_steps = 3;
-  VectorPushSum engine(&g, o);
-  auto r = engine.Run(y0, g0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->steps, 3u);
-  EXPECT_FALSE(r->converged);
+  for (uint32_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(y_after[j], col_sum[j], 1e-9) << "column " << j;
+    EXPECT_NEAR(g_after[j], static_cast<double>(n), 1e-9) << "column " << j;
+    for (const SparseVectorRow& row : state) {
+      auto it = std::lower_bound(row.cols.begin(), row.cols.end(), j);
+      ASSERT_TRUE(it != row.cols.end() && *it == j);
+      const size_t k = static_cast<size_t>(it - row.cols.begin());
+      EXPECT_NEAR(row.y[k] / row.g[k], col_sum[j] / n, 0.05);
+    }
+  }
 }
 
 TEST(VectorEngineTest, StatsPopulated) {
@@ -193,78 +154,12 @@ TEST(VectorEngineTest, StatsPopulated) {
   Graph g = MakePaGraph(n, 2, 16);
   auto y0 = Matrix(n, 0.2);
   auto g0 = Matrix(n, 1.0);
-  VectorPushSum engine(&g, Opts(1e-6));
-  auto r = engine.Run(y0, g0);
+  SparseVectorPushSum engine(&g, Opts(1e-6));
+  auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   EXPECT_GT(r->gossip_messages, 0u);
   EXPECT_GE(r->control_messages, g.DegreeSum());
   EXPECT_GT(r->mean_messages_per_active_node_step, 0.5);
-}
-
-TEST(VectorEngineTest, CountChannelReportsSentinelWhereNoWeight) {
-  // Regression: count_estimates used a hard-coded 0.0 fallback where
-  // g == 0 while estimates used the sentinel; both must report the
-  // sentinel and let the aggregation layer map it to "no information".
-  auto g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  ASSERT_TRUE(g.ok());
-  auto y0 = Matrix(4, 0.0);
-  auto g0 = Matrix(4, 0.0);
-  auto c0 = Matrix(4, 0.0);
-  g0[0][0] = 1.0;
-  y0[0][0] = 0.8;
-  c0[0][0] = 1.0;
-  GossipOptions o = Opts(1e-9);
-  VectorPushSum engine(&*g, o);
-  auto r = engine.Run(y0, g0, c0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->estimates[2][0], o.ratio_sentinel);
-  EXPECT_EQ(r->count_estimates[2][0], o.ratio_sentinel);
-  EXPECT_EQ(r->count_estimates[3][0], o.ratio_sentinel);
-  EXPECT_NEAR(r->count_estimates[0][0], 1.0, 1e-6);
-}
-
-TEST(VectorEngineTest, UniformPushChargesNoDegreeAnnouncements) {
-  // Regression: the one-time degree announcements were charged even
-  // under plain push, where k_i is constant and no degrees are needed;
-  // that inflated the plain-push comparator in Table 2.
-  const uint32_t n = 40;
-  Graph g = MakePaGraph(n, 2, 19);
-  auto y0 = Matrix(n, 0.2);
-  auto g0 = Matrix(n, 1.0);
-  GossipOptions unif = Opts(1e-6);
-  unif.strategy = PushStrategy::kUniform;
-  VectorPushSum ue(&g, unif);
-  auto ur = ue.Run(y0, g0);
-  ASSERT_TRUE(ur.ok());
-  ASSERT_TRUE(ur->converged);
-  // Convergence announcements only: each node announces exactly once.
-  EXPECT_EQ(ur->control_messages, g.DegreeSum());
-
-  VectorPushSum de(&g, Opts(1e-6));
-  auto dr = de.Run(y0, g0);
-  ASSERT_TRUE(dr.ok());
-  ASSERT_TRUE(dr->converged);
-  // Differential push still pays the degree-announcement round.
-  EXPECT_EQ(dr->control_messages, 2 * g.DegreeSum());
-}
-
-TEST(VectorEngineTest, SentinelForUnreachedWeight) {
-  // Disconnected pair: node 2 and 3 form their own component with no
-  // weight for column 0 -> sentinel at their entries for column 0.
-  auto g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
-  ASSERT_TRUE(g.ok());
-  auto y0 = Matrix(4, 0.0);
-  auto g0 = Matrix(4, 0.0);
-  g0[0][0] = 1.0;  // weight for column 0 lives only in component {0,1}
-  y0[0][0] = 0.8;
-  GossipOptions o = Opts(1e-9);
-  VectorPushSum engine(&*g, o);
-  auto r = engine.Run(y0, g0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->estimates[2][0], o.ratio_sentinel);
-  EXPECT_EQ(r->estimates[3][0], o.ratio_sentinel);
-  EXPECT_NEAR(r->estimates[0][0], 0.8, 1e-6);
-  EXPECT_NEAR(r->estimates[1][0], 0.8, 1e-6);
 }
 
 }  // namespace
