@@ -1,19 +1,30 @@
-// BoundedMpscQueue: a bounded multi-producer queue drained by a single
-// consumer — the trust-update ingest path of the serving layer. Producers
-// (query/application threads) TryPush concurrently and see explicit
-// backpressure when the queue is full; the consumer (the round driver)
-// drains everything accumulated since the last round in one call, so the
-// fold into the TrustMatrix happens at a round boundary, never mid-round.
+// BoundedWorkQueue: the bounded multi-producer queue behind both serving
+// front-ends. Producers TryPush concurrently and see explicit
+// backpressure — a full (or closed) queue rejects the push and counts it
+// in rejected() — instead of unbounded buffering; the owner turns the
+// rejection into its own reply. Consumers take items in one of two ways:
 //
-// A mutex-protected ring is deliberately chosen over a lock-free list:
-// pushes are rare next to reads (reads never touch this queue), the
-// consumer drains in O(batch), and the simple implementation is trivially
-// TSan-clean. The serving hot path — snapshot queries — takes no lock.
+//   - drain-all at a boundary: the serving layer's trust-update ingest
+//     (src/serve/round_driver.h) empties the queue with one unlimited
+//     TryPopUpTo per round, so the fold into the TrustMatrix happens at a
+//     round boundary, never mid-round;
+//   - blocking hand-off: the RPC front-end's worker pool
+//     (src/rpc/server.h) parks in PopBlocking between requests and takes
+//     opportunistic extras with TryPopUpTo to batch work against one
+//     epoch snapshot.
 //
-// Capability contract (machine-checked via -Wthread-safety): every piece
-// of queue state is DGT_GUARDED_BY(mu_); each public method acquires mu_
-// for its full body and holds no other lock, so any call interleaving
-// from any number of threads is safe.
+// Close() wakes every parked consumer for shutdown; items still queued at
+// Close remain poppable so accepted work is never silently dropped.
+//
+// A mutex-protected deque is deliberately chosen over a lock-free list:
+// pushes are rare next to reads (snapshot queries never touch this
+// queue), consumers take items in O(batch), and the simple
+// implementation is trivially TSan-clean.
+//
+// Capability contract (machine-checked via -Wthread-safety): items_,
+// closed_ and the counters are DGT_GUARDED_BY(mu_); cv_ hand-offs happen
+// with mu_ held (predicates assert the capability) and notifications are
+// issued after release, so no method ever blocks while holding the lock.
 
 #ifndef DGT_COMMON_MPSC_QUEUE_H_
 #define DGT_COMMON_MPSC_QUEUE_H_
@@ -30,90 +41,10 @@
 namespace dgt {
 
 template <typename T>
-class BoundedMpscQueue {
+class BoundedWorkQueue {
  public:
   // capacity 0 is bumped to 1 (a zero-capacity queue would reject every
   // push and turn the backpressure signal into a constant).
-  explicit BoundedMpscQueue(size_t capacity)
-      : capacity_(capacity == 0 ? 1 : capacity) {}
-
-  BoundedMpscQueue(const BoundedMpscQueue&) = delete;
-  BoundedMpscQueue& operator=(const BoundedMpscQueue&) = delete;
-
-  // Producer side. Returns false (and counts the rejection) when the
-  // queue is full — the caller owns the retry policy.
-  bool TryPush(T value) DGT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    if (items_.size() >= capacity_) {
-      ++rejected_;
-      return false;
-    }
-    items_.push_back(std::move(value));
-    if (items_.size() > peak_depth_) peak_depth_ = items_.size();
-    return true;
-  }
-
-  // Consumer side: appends everything queued to `out` (preserving
-  // per-producer push order) and empties the queue. Returns the number
-  // of items drained.
-  size_t DrainInto(std::vector<T>& out) DGT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    const size_t n = items_.size();
-    out.reserve(out.size() + n);
-    for (auto& item : items_) out.push_back(std::move(item));
-    items_.clear();
-    return n;
-  }
-
-  size_t size() const DGT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return items_.size();
-  }
-
-  size_t capacity() const { return capacity_; }
-
-  // TryPush calls that returned false since construction (backpressure
-  // observability for the service's stats).
-  uint64_t rejected() const DGT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return rejected_;
-  }
-
-  // High-water mark of size() since construction — how close the queue
-  // came to its backpressure threshold (surfaced as a gauge by owners).
-  size_t peak_depth() const DGT_EXCLUDES(mu_) {
-    MutexLock lock(mu_);
-    return peak_depth_;
-  }
-
- private:
-  const size_t capacity_;
-  mutable Mutex mu_;
-  std::deque<T> items_ DGT_GUARDED_BY(mu_);
-  uint64_t rejected_ DGT_GUARDED_BY(mu_) = 0;
-  size_t peak_depth_ DGT_GUARDED_BY(mu_) = 0;
-};
-
-// BoundedWorkQueue: the same bounded-TryPush / explicit-backpressure
-// discipline as BoundedMpscQueue, but with a condition-variable hand-off
-// to multiple blocking consumers — the request queue of the RPC serving
-// front-end (src/rpc/server.h). Producers (connection reader threads)
-// TryPush and see rejection when the queue is full (admission control:
-// the peer gets a Backpressure reply instead of unbounded buffering);
-// worker-pool consumers park in PopBlocking between requests and drain
-// opportunistic extras with TryPopUpTo to batch work against one epoch
-// snapshot. Close() wakes every parked consumer for shutdown; items
-// still queued at Close remain poppable so accepted requests are never
-// silently dropped.
-//
-// Capability contract (machine-checked via -Wthread-safety): items_,
-// closed_ and the counters are DGT_GUARDED_BY(mu_); cv_ hand-offs happen
-// with mu_ held (predicates assert the capability) and notifications are
-// issued after release, so no method ever blocks while holding the lock.
-template <typename T>
-class BoundedWorkQueue {
- public:
-  // capacity 0 is bumped to 1, as in BoundedMpscQueue.
   explicit BoundedWorkQueue(size_t capacity)
       : capacity_(capacity == 0 ? 1 : capacity) {}
 
@@ -121,7 +52,7 @@ class BoundedWorkQueue {
   BoundedWorkQueue& operator=(const BoundedWorkQueue&) = delete;
 
   // Producer side. False (counted) when full or closed — the caller owns
-  // the backpressure reply.
+  // the retry policy or the backpressure reply.
   bool TryPush(T value) DGT_EXCLUDES(mu_) {
     {
       MutexLock lock(mu_);
@@ -150,8 +81,9 @@ class BoundedWorkQueue {
     return true;
   }
 
-  // Non-blocking batch drain of up to max_items more (FIFO order,
-  // appended to *out). Returns the number taken.
+  // Non-blocking take of up to max_items (FIFO order, so each producer's
+  // items keep their push order; appended to *out). Returns the number
+  // taken. An unlimited max_items drains the queue.
   size_t TryPopUpTo(size_t max_items, std::vector<T>* out) DGT_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     size_t taken = 0;
@@ -184,13 +116,15 @@ class BoundedWorkQueue {
 
   size_t capacity() const { return capacity_; }
 
-  // TryPush calls that returned false since construction.
+  // TryPush calls that returned false since construction (backpressure
+  // observability for the owners' stats).
   uint64_t rejected() const DGT_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return rejected_;
   }
 
-  // High-water mark of size() since construction, as in BoundedMpscQueue.
+  // High-water mark of size() since construction — how close the queue
+  // came to its backpressure threshold (surfaced as a gauge by owners).
   size_t peak_depth() const DGT_EXCLUDES(mu_) {
     MutexLock lock(mu_);
     return peak_depth_;

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <utility>
 
@@ -21,7 +22,7 @@ int64_t SteadyNowMicros() {
 
 RoundDriver::RoundDriver(ReputationSystem* system, TrustMatrix* trust,
                          ReputationStore* store, EpochGate* gate,
-                         BoundedMpscQueue<TrustUpdate>* updates,
+                         BoundedWorkQueue<TrustUpdate>* updates,
                          RoundDriverOptions options)
     : system_(system),
       trust_(trust),
@@ -76,7 +77,7 @@ Status RoundDriver::last_status() const {
 
 uint64_t RoundDriver::FoldPendingUpdates() {
   drain_buffer_.clear();
-  updates_->DrainInto(drain_buffer_);
+  updates_->TryPopUpTo(std::numeric_limits<size_t>::max(), &drain_buffer_);
   for (const TrustUpdate& update : drain_buffer_) {
     if (update.erase) {
       trust_->Erase(update.observer, update.target);

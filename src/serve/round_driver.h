@@ -72,7 +72,7 @@ class RoundDriver {
   // mutator of `trust` and the only caller into `system` while running.
   RoundDriver(ReputationSystem* system, TrustMatrix* trust,
               ReputationStore* store, EpochGate* gate,
-              BoundedMpscQueue<TrustUpdate>* updates,
+              BoundedWorkQueue<TrustUpdate>* updates,
               RoundDriverOptions options);
   ~RoundDriver();
 
@@ -117,7 +117,7 @@ class RoundDriver {
   TrustMatrix* trust_;
   ReputationStore* store_;
   EpochGate* gate_;
-  BoundedMpscQueue<TrustUpdate>* updates_;
+  BoundedWorkQueue<TrustUpdate>* updates_;
   RoundDriverOptions options_;
 
   // The driver thread itself is deliberately not lock-annotated: it is

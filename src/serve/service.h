@@ -152,7 +152,7 @@ class ReputationService {
   ReputationSystem system_;
   ReputationStore store_;
   EpochGate gate_;
-  BoundedMpscQueue<TrustUpdate> update_queue_;
+  BoundedWorkQueue<TrustUpdate> update_queue_;
   RoundDriver driver_;
 
   // Callback-gauge tokens (queue depth/peak/rejected + snapshot age);

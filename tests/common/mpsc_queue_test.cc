@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -12,20 +13,31 @@
 namespace dgt {
 namespace {
 
-TEST(BoundedMpscQueueTest, FifoOrderSingleProducer) {
-  BoundedMpscQueue<int> q(8);
+constexpr size_t kAll = std::numeric_limits<size_t>::max();
+
+TEST(BoundedWorkQueueTest, ZeroCapacityIsBumpedToOne) {
+  BoundedWorkQueue<int> q(0);
+  EXPECT_EQ(q.capacity(), 1u);
+  EXPECT_TRUE(q.TryPush(7));
+  EXPECT_FALSE(q.TryPush(8));
+}
+
+// The drain-all consumer (the serving layer's trust-update ingest).
+
+TEST(BoundedWorkQueueTest, DrainAllFifoOrderSingleProducer) {
+  BoundedWorkQueue<int> q(8);
   for (int i = 0; i < 5; ++i) EXPECT_TRUE(q.TryPush(i));
   EXPECT_EQ(q.size(), 5u);
 
-  std::vector<int> out{-1};  // DrainInto must append, not overwrite
-  EXPECT_EQ(q.DrainInto(out), 5u);
+  std::vector<int> out{-1};  // a drain must append, not overwrite
+  EXPECT_EQ(q.TryPopUpTo(kAll, &out), 5u);
   EXPECT_EQ(out, (std::vector<int>{-1, 0, 1, 2, 3, 4}));
   EXPECT_EQ(q.size(), 0u);
-  EXPECT_EQ(q.DrainInto(out), 0u);
+  EXPECT_EQ(q.TryPopUpTo(kAll, &out), 0u);
 }
 
-TEST(BoundedMpscQueueTest, FullQueueRejectsWithBackpressureCount) {
-  BoundedMpscQueue<int> q(2);
+TEST(BoundedWorkQueueTest, FullQueueRejectsWithBackpressureCount) {
+  BoundedWorkQueue<int> q(2);
   EXPECT_EQ(q.capacity(), 2u);
   EXPECT_TRUE(q.TryPush(1));
   EXPECT_TRUE(q.TryPush(2));
@@ -34,22 +46,15 @@ TEST(BoundedMpscQueueTest, FullQueueRejectsWithBackpressureCount) {
   EXPECT_EQ(q.rejected(), 2u);
 
   std::vector<int> out;
-  EXPECT_EQ(q.DrainInto(out), 2u);
+  EXPECT_EQ(q.TryPopUpTo(kAll, &out), 2u);
   EXPECT_TRUE(q.TryPush(5));  // drained -> accepting again
   EXPECT_EQ(q.rejected(), 2u);
 }
 
-TEST(BoundedMpscQueueTest, ZeroCapacityIsBumpedToOne) {
-  BoundedMpscQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.TryPush(7));
-  EXPECT_FALSE(q.TryPush(8));
-}
-
-TEST(BoundedMpscQueueTest, ConcurrentProducersLoseNothing) {
+TEST(BoundedWorkQueueTest, ConcurrentProducersLoseNothingDrainAll) {
   constexpr int kProducers = 4;
   constexpr int kPerProducer = 10000;
-  BoundedMpscQueue<uint64_t> q(512);
+  BoundedWorkQueue<uint64_t> q(512);
 
   std::vector<std::thread> producers;
   for (int p = 0; p < kProducers; ++p) {
@@ -65,7 +70,7 @@ TEST(BoundedMpscQueueTest, ConcurrentProducersLoseNothing) {
   std::vector<uint64_t> received;
   while (received.size() <
          static_cast<size_t>(kProducers) * kPerProducer) {
-    if (q.DrainInto(received) == 0) std::this_thread::yield();
+    if (q.TryPopUpTo(kAll, &received) == 0) std::this_thread::yield();
   }
   for (auto& t : producers) t.join();
   EXPECT_EQ(q.size(), 0u);
@@ -87,6 +92,8 @@ TEST(BoundedMpscQueueTest, ConcurrentProducersLoseNothing) {
     EXPECT_EQ(counts[p], static_cast<uint32_t>(kPerProducer)) << "p=" << p;
   }
 }
+
+// The blocking consumers (the RPC front-end's worker pool).
 
 TEST(BoundedWorkQueueTest, FifoAndBatchDrain) {
   BoundedWorkQueue<int> q(8);
@@ -126,13 +133,6 @@ TEST(BoundedWorkQueueTest, FullAndClosedPushesRejectWithCount) {
   EXPECT_TRUE(q.PopBlocking(&out));
   EXPECT_EQ(out, 2);
   EXPECT_FALSE(q.PopBlocking(&out));
-}
-
-TEST(BoundedWorkQueueTest, ZeroCapacityIsBumpedToOne) {
-  BoundedWorkQueue<int> q(0);
-  EXPECT_EQ(q.capacity(), 1u);
-  EXPECT_TRUE(q.TryPush(7));
-  EXPECT_FALSE(q.TryPush(8));
 }
 
 TEST(BoundedWorkQueueTest, CloseWakesBlockedConsumers) {

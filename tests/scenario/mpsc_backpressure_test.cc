@@ -5,6 +5,7 @@
 // from Run() with the rejection visible in service_updates_rejected() —
 // never a silent drop that would quietly corrupt the served scores.
 
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,7 @@ namespace dgt {
 namespace {
 
 TEST(MpscBackpressureTest, EraseHeavyOverflowIsCountedNotDropped) {
-  BoundedMpscQueue<TrustUpdate> queue(8);
+  BoundedWorkQueue<TrustUpdate> queue(8);
   // A churn-burst-shaped wave: a few fresh opinions, then a long run of
   // erases for the departed identity's rows.
   uint64_t pushed = 0;
@@ -41,7 +42,8 @@ TEST(MpscBackpressureTest, EraseHeavyOverflowIsCountedNotDropped) {
   // Draining preserves order and the erase flags; the rejection counter
   // keeps the history.
   std::vector<TrustUpdate> drained;
-  EXPECT_EQ(queue.DrainInto(drained), 8u);
+  EXPECT_EQ(
+      queue.TryPopUpTo(std::numeric_limits<size_t>::max(), &drained), 8u);
   ASSERT_EQ(drained.size(), 8u);
   for (size_t i = 0; i < drained.size(); ++i) {
     EXPECT_EQ(drained[i].observer, i);
