@@ -99,18 +99,15 @@ void RpcServer::Stop() {
   listen_fd_.ShutdownBothEnds();
   {
     MutexLock lock(conns_mu_);
-    for (auto& conn : connections_) {
-      conn->open.store(false, std::memory_order_relaxed);
-      conn->fd.ShutdownBothEnds();
+    for (Reader& reader : readers_) {
+      reader.conn->open.store(false, std::memory_order_relaxed);
+      reader.conn->fd.ShutdownBothEnds();
     }
   }
   if (accept_thread_.joinable()) accept_thread_.join();
   {
     MutexLock lock(conns_mu_);
-    for (auto& t : reader_threads_) {
-      if (t.joinable()) t.join();
-    }
-    reader_threads_.clear();
+    for (Reader& reader : readers_) reader.thread.join();
   }
   // Already-accepted requests drain before the workers exit (their
   // replies fail harmlessly on the shut-down sockets).
@@ -122,7 +119,7 @@ void RpcServer::Stop() {
   workers_.clear();
   {
     MutexLock lock(conns_mu_);
-    connections_.clear();
+    readers_.clear();
   }
   // The gauges sample queue_; unhook them before this object can die.
   metrics_->RemoveCallbackGauge("rpc_queue_depth", queue_depth_token_);
@@ -150,9 +147,21 @@ void RpcServer::AcceptLoop() {
     connections_counter_->Increment();
     MutexLock lock(conns_mu_);
     if (stopping_.load()) return;  // raced Stop(); drop the connection
-    connections_.push_back(conn);
-    // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
-    reader_threads_.emplace_back([this, conn] { ReaderLoop(conn); });
+    ReapFinishedReaders();
+    // dgt-lint: raw-thread-ok(RpcServer owns the per-connection readers)
+    std::thread reader([this, conn] { ReaderLoop(conn); });
+    readers_.push_back({std::move(conn), std::move(reader)});
+  }
+}
+
+void RpcServer::ReapFinishedReaders() {
+  for (auto it = readers_.begin(); it != readers_.end();) {
+    if (it->conn->reader_done.load(std::memory_order_acquire)) {
+      it->thread.join();  // the flag is the reader's last act
+      it = readers_.erase(it);
+    } else {
+      ++it;
+    }
   }
 }
 
@@ -223,6 +232,7 @@ void RpcServer::ReaderLoop(std::shared_ptr<Connection> conn) {
   }
   conn->open.store(false, std::memory_order_relaxed);
   conn->fd.ShutdownBothEnds();
+  conn->reader_done.store(true, std::memory_order_release);
 }
 
 void RpcServer::WorkerLoop() {
@@ -235,7 +245,6 @@ void RpcServer::WorkerLoop() {
         return !workers_held_;
       });
     }
-    batch.clear();
     Request first;
     if (!queue_.PopBlocking(&first)) return;  // closed and drained
     batch.push_back(std::move(first));
@@ -251,6 +260,9 @@ void RpcServer::WorkerLoop() {
                seen, batch.size(), std::memory_order_relaxed)) {
     }
     for (const Request& req : batch) ProcessRequest(req, snap);
+    // Release the batch's connection references now rather than when the
+    // next request arrives, so a finished connection's fd closes promptly.
+    batch.clear();
   }
 }
 

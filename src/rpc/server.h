@@ -158,6 +158,18 @@ class RpcServer {
     UniqueFd fd;
     Mutex write_mu;
     std::atomic<bool> open{true};
+    // Set by the reader thread as its last act, so the accept thread can
+    // join it without blocking.
+    std::atomic<bool> reader_done{false};
+  };
+
+  // A connection and the thread reading it. Dropping the entry releases
+  // one reference; the fd closes when the last holder (this entry, the
+  // reader, or a queued Request) lets go.
+  struct Reader {
+    std::shared_ptr<Connection> conn;
+    // dgt-lint: raw-thread-ok(RpcServer owns the per-connection readers)
+    std::thread thread;
   };
 
   struct Request {
@@ -167,6 +179,9 @@ class RpcServer {
   };
 
   void AcceptLoop() DGT_EXCLUDES(conns_mu_);
+  // Joins and drops the readers whose connection has ended, so a
+  // long-lived server holds one fd and one thread per *open* connection.
+  void ReapFinishedReaders() DGT_REQUIRES(conns_mu_);
   void ReaderLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop() DGT_EXCLUDES(hold_mu_);
   // Times DispatchRequest into the per-op service-latency histogram.
@@ -213,10 +228,7 @@ class RpcServer {
   BoundedWorkQueue<Request> queue_;
 
   Mutex conns_mu_;
-  std::vector<std::shared_ptr<Connection>> connections_
-      DGT_GUARDED_BY(conns_mu_);
-  std::vector<std::thread> reader_threads_  // dgt-lint: raw-thread-ok(RpcServer owns the per-connection reader threads)
-      DGT_GUARDED_BY(conns_mu_);
+  std::vector<Reader> readers_ DGT_GUARDED_BY(conns_mu_);
 
   Mutex hold_mu_;
   std::condition_variable hold_cv_;

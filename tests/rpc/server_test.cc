@@ -9,6 +9,7 @@
 #include "rpc/server.h"
 
 #include <cstring>
+#include <filesystem>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,38 @@ TEST(RpcServerTest, QueryAndUpdateErrorsCarryNamedCodes) {
   // Valid update on the same connection still works: none of the above
   // closed it.
   EXPECT_TRUE(rpc.SubmitTrustUpdate(3, 4, 0.5).ok());
+}
+
+size_t OpenFdCount() {
+  size_t count = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    (void)entry;
+    ++count;
+  }
+  return count;
+}
+
+// Regression: the accept loop kept every connection, with its open fd,
+// and its reader thread until Stop(), so a long-lived server leaked one
+// descriptor and one unjoined thread per closed connection. Finished
+// readers are now reaped, so the fd count stays flat across many
+// sequential clients.
+TEST(RpcServerTest, ClosedConnectionsReleaseDescriptorsAndReaders) {
+  RpcServerOptions opts;
+  opts.worker_threads = 2;
+  Fixture fx(16, 0, opts);
+  const size_t before = OpenFdCount();
+  for (int i = 0; i < 500; ++i) {
+    Result<RpcClient> client = RpcClient::Connect(fx.server->port());
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    ASSERT_TRUE(client.value().Ping().ok());
+    client.value().Close();
+  }
+  const size_t after = OpenFdCount();
+  EXPECT_LT(after, before + 16)
+      << "fd count grew from " << before << " to " << after
+      << " over 500 closed connections";
 }
 
 TEST(RpcServerTest, FullRequestQueueAnswersBackpressureDeterministically) {
