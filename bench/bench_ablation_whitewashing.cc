@@ -7,9 +7,11 @@
 // higher is better).
 
 #include <iostream>
+#include <utility>
 
 #include "bench_util.h"
-#include "p2p/whitewashing_sim.h"
+#include "scenario/canned_specs.h"
+#include "scenario/scenario_runner.h"
 
 int main() {
   using namespace dgt;
@@ -39,19 +41,21 @@ int main() {
       mix.min_quality = 0.6;
       auto peers = MakePopulation(kN, mix, prng);
 
-      WhitewashingOptions o;
-      o.mode = m.mode;
-      o.num_rounds = 200;
-      o.honest_arrival_prob = 0.3;
-      o.seed = 13;
-      auto sim = WhitewashingSim::Create(&g, peers, o);
-      if (!sim.ok()) return 1;
-      if (!(*sim)->Run().ok()) return 1;
-      const auto& rep = (*sim)->report();
+      ScenarioSpec spec = WhitewashingScenarioSpec(peers);
+      spec.newcomer_mode = m.mode;
+      spec.num_rounds = 200;
+      spec.honest_arrival_prob = 0.3;
+      spec.seed = 13;
+      auto runner = ScenarioRunner::Create(&g, std::move(spec));
+      if (!runner.ok()) return 1;
+      if (!(*runner)->Run().ok()) return 1;
+      // Free riders are the whitewashers; cooperative peers are the
+      // established honest class.
+      const ScenarioReport& rep = (*runner)->report();
       table.AddRow({m.name, FormatDouble(100 * fraction, 0),
-                    FormatDouble(rep.whitewasher.SuccessRate(), 3),
+                    FormatDouble(rep.free_rider.SuccessRate(), 3),
                     FormatDouble(rep.newcomer.SuccessRate(), 3),
-                    FormatDouble(rep.honest.SuccessRate(), 3),
+                    FormatDouble(rep.cooperative.SuccessRate(), 3),
                     std::to_string(rep.identity_resets),
                     FormatDouble(rep.final_initial_trust, 3)});
     }

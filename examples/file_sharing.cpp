@@ -9,10 +9,12 @@
 #include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <utility>
 
 #include "common/table_writer.h"
 #include "graph/pa_generator.h"
-#include "p2p/file_sharing_sim.h"
+#include "scenario/canned_specs.h"
+#include "scenario/scenario_runner.h"
 
 int main(int argc, char** argv) {
   const uint32_t n = argc > 1 ? std::atoi(argv[1]) : 128;
@@ -37,25 +39,25 @@ int main(int argc, char** argv) {
   std::cout << "population: " << n << " peers, " << fr.size()
             << " free riders\n";
 
-  dgt::FileSharingOptions opts;
-  opts.num_rounds = 80;
-  opts.gossip_every = 10;  // a reputation round every 10 transaction rounds
-  opts.serve_threshold = 0.3;
-  opts.newcomer_serve_prob = 0.5;
-  opts.reputation.aggregation.gossip.xi = 1e-6;
-  opts.seed = 23;
+  dgt::ScenarioSpec spec = dgt::FileSharingScenarioSpec(peers);
+  spec.num_rounds = 80;
+  spec.gossip_every = 10;  // a reputation round every 10 transaction rounds
+  spec.serve_threshold = 0.3;
+  spec.newcomer_serve_prob = 0.5;
+  spec.reputation.aggregation.gossip.xi = 1e-6;
+  spec.seed = 23;
 
-  auto sim = dgt::FileSharingSim::Create(&*graph, peers, opts);
-  if (!sim.ok()) {
-    std::cerr << sim.status().ToString() << "\n";
+  auto runner = dgt::ScenarioRunner::Create(&*graph, std::move(spec));
+  if (!runner.ok()) {
+    std::cerr << runner.status().ToString() << "\n";
     return 1;
   }
-  if (dgt::Status s = (*sim)->Run(); !s.ok()) {
+  if (dgt::Status s = (*runner)->Run(); !s.ok()) {
     std::cerr << s.ToString() << "\n";
     return 1;
   }
 
-  const auto& report = (*sim)->report();
+  const auto& report = (*runner)->report();
   dgt::TableWriter table("\ndownload success rate by phase:");
   table.SetHeader({"rounds", "cooperative", "free riders"});
   for (size_t phase = 0; phase < report.rounds.size(); phase += 10) {
@@ -81,7 +83,7 @@ int main(int argc, char** argv) {
             << "), free rider success="
             << dgt::FormatDouble(report.free_rider.SuccessRate(), 3)
             << "\nreputation rounds run: " << report.gossip_rounds
-            << ", last round: " << (*sim)->last_round_stats().steps
+            << ", last round: " << (*runner)->last_round_stats().steps
             << " gossip steps\n";
   return 0;
 }

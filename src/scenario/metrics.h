@@ -1,8 +1,6 @@
-// Per-strategy-class accounting shared by the scenario engine and the
-// legacy simulator facades (FileSharingSim / WhitewashingSim), plus the
-// scenario engine's per-phase report. ClassMetrics/RoundSnapshot predate
-// the engine (they were born in p2p/file_sharing_sim.h) and keep their
-// exact shape so the facades' reports stay source-compatible.
+// The scenario engine's report: per-strategy-class accounting
+// (ClassMetrics), its per-round series (RoundSnapshot) and the per-phase
+// timeline (ScenarioPhaseReport / ScenarioReport).
 
 #ifndef DGT_SCENARIO_METRICS_H_
 #define DGT_SCENARIO_METRICS_H_

@@ -20,9 +20,9 @@
 //     epoch against a collusion-free reference aggregation) accumulate
 //     into a ScenarioReport.
 //
-// The legacy FileSharingSim and WhitewashingSim are thin facades over
-// canned specs for this engine (scenario/canned_specs.h); their round
-// loops live here now, once.
+// The paper's stock file-sharing and whitewashing workloads are canned
+// specs for this engine (scenario/canned_specs.h); the closed-loop
+// simulators they replaced live on only as test oracles.
 
 #ifndef DGT_SCENARIO_SCENARIO_RUNNER_H_
 #define DGT_SCENARIO_SCENARIO_RUNNER_H_

@@ -177,7 +177,7 @@ struct ScenarioSpec {
   // Weight applied to that reciprocity rating when the request was
   // refused: no transaction was completed, so the encounter carries much
   // less information than a served one. 0 records nothing on refusal;
-  // 1.0 reproduces the legacy WhitewashingSim accounting in which
+  // 1.0 reproduces the original whitewashing study's accounting, in which
   // refusals built full-strength trust.
   double refused_reciprocity_weight = 0.25;
 

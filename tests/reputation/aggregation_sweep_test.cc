@@ -7,10 +7,12 @@
 #include <cmath>
 #include <string>
 #include <tuple>
+#include <utility>
 
-#include "p2p/file_sharing_sim.h"
 #include "reputation/aggregation.h"
 #include "reputation/reference.h"
+#include "scenario/canned_specs.h"
+#include "scenario/scenario_runner.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
@@ -109,15 +111,15 @@ TEST_P(EconomicsSweep, UploadsBalanceDownloadsAndFreeRidersNeverUpload) {
   mix.free_rider_fraction = fr_fraction;
   mix.min_quality = 0.6;
   auto peers = MakePopulation(n, mix, rng);
-  FileSharingOptions o;
-  o.num_rounds = 30;
-  o.gossip_every = 10;
-  o.reputation.aggregation.gossip.xi = 1e-6;
-  o.seed = 96;
-  auto sim = FileSharingSim::Create(&g, peers, o);
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run().ok());
-  const auto& rep = (*sim)->report();
+  ScenarioSpec spec = FileSharingScenarioSpec(peers);
+  spec.num_rounds = 30;
+  spec.gossip_every = 10;
+  spec.reputation.aggregation.gossip.xi = 1e-6;
+  spec.seed = 96;
+  auto runner = ScenarioRunner::Create(&g, std::move(spec));
+  ASSERT_TRUE(runner.ok());
+  ASSERT_TRUE((*runner)->Run().ok());
+  const ScenarioReport& rep = (*runner)->report();
 
   // Conservation: every download is somebody's upload.
   uint64_t downloads =

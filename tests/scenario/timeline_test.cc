@@ -9,6 +9,17 @@
 namespace dgt {
 namespace {
 
+TEST(ClassMetricsTest, Rates) {
+  ClassMetrics m;
+  EXPECT_DOUBLE_EQ(m.SuccessRate(), 0.0);
+  EXPECT_DOUBLE_EQ(m.MeanSatisfaction(), 0.0);
+  m.requests = 10;
+  m.served = 5;
+  m.satisfaction_sum = 4.0;
+  EXPECT_DOUBLE_EQ(m.SuccessRate(), 0.5);
+  EXPECT_DOUBLE_EQ(m.MeanSatisfaction(), 0.8);
+}
+
 ScenarioReport TwoPhaseReport() {
   ScenarioReport report;
   ScenarioPhaseReport a;

@@ -5,21 +5,19 @@
 //      file-sharing workload) reputations identical to the last ulp even
 //      though the engine serves them from a live ReputationService
 //      instead of a private batch ReputationSystem. The legacy loops are
-//      re-created verbatim below (they were deleted from p2p/ when the
-//      engine replaced them).
-//   2. The facade classes (FileSharingSim / WhitewashingSim) are exactly
-//      the canned spec run through the engine.
-//   3. The accounting bugfixes that shipped with the engine are asserted
-//      as explicit deltas: the whitewashing facade reproduces the legacy
+//      re-created verbatim below as independent reference oracles (they
+//      were deleted from p2p/ when the engine replaced them); they read
+//      their dials from the same ScenarioSpec the engine runs and fill a
+//      ScenarioReport.
+//   2. The accounting bugfixes that shipped with the engine are asserted
+//      as explicit deltas: the whitewashing spec reproduces the legacy
 //      numbers only at refused_reciprocity_weight = 1.0, and the default
 //      down-weight strictly shrinks refusal-built trust.
 
 #include <algorithm>
 #include <optional>
 
-#include "p2p/file_sharing_sim.h"
 #include "p2p/query_flood.h"
-#include "p2p/whitewashing_sim.h"
 #include "reputation/reputation_system.h"
 #include "scenario/canned_specs.h"
 #include "scenario/scenario_runner.h"
@@ -52,21 +50,21 @@ std::vector<PeerProfile> Population(uint32_t n, double free_riders,
 }
 
 // ---------------------------------------------------------------------
-// Verbatim re-creation of the pre-engine FileSharingSim round loop
-// (batch ReputationSystem over a private reported matrix, dense-only
-// collusion reporting — the loop src/p2p/file_sharing_sim.cc held before
-// the scenario engine replaced it).
+// Verbatim re-creation of the pre-engine file-sharing simulator's round
+// loop (batch ReputationSystem over a private reported matrix, dense-only
+// collusion reporting — the loop p2p/ held before the scenario engine
+// replaced it).
 // ---------------------------------------------------------------------
 
 struct LegacyFileSharingResult {
-  FileSharingReport report;
+  ScenarioReport report;
   std::vector<std::vector<double>> reputations;
 };
 
-LegacyFileSharingResult LegacyFileSharingRun(
-    const Graph& graph, const std::vector<PeerProfile>& profiles,
-    const FileSharingOptions& options,
-    const std::optional<CollusionPlan>& collusion) {
+LegacyFileSharingResult LegacyFileSharingRun(const Graph& graph,
+                                             const ScenarioSpec& options) {
+  const std::vector<PeerProfile>& profiles = options.profiles;
+  const std::optional<CollusionPlan>& collusion = options.collusion;
   const uint32_t n = graph.num_nodes();
   TrustMatrix trust(n);
   TrustMatrix reported_trust(n);
@@ -74,7 +72,7 @@ LegacyFileSharingResult LegacyFileSharingRun(
   ReputationSystem reputation(&graph, &reported_trust, options.reputation);
   Rng rng(options.seed);
   LegacyFileSharingResult out;
-  FileSharingReport& report = out.report;
+  ScenarioReport& report = out.report;
 
   auto class_of = [&](NodeId i) -> ClassMetrics& {
     switch (profiles[i].strategy) {
@@ -171,29 +169,32 @@ LegacyFileSharingResult LegacyFileSharingRun(
 }
 
 // ---------------------------------------------------------------------
-// Verbatim re-creation of the pre-fix WhitewashingSim round loop,
-// including the accounting bug the engine fixes: the provider recorded a
-// *full-strength* reciprocity rating on every request, refusals included.
+// Verbatim re-creation of the pre-fix whitewashing simulator's round
+// loop, including the accounting bug the engine fixes: the provider
+// recorded a *full-strength* reciprocity rating on every request,
+// refusals included. Classes as in the engine: established honest peers
+// are `cooperative`, honest peers within their first window `newcomer`,
+// and free riders cycling identities `free_rider`.
 // ---------------------------------------------------------------------
 
-WhitewashingReport LegacyWhitewashingRun(
-    const Graph& graph, const std::vector<PeerProfile>& profiles,
-    const WhitewashingOptions& options) {
+ScenarioReport LegacyWhitewashingRun(const Graph& graph,
+                                     const ScenarioSpec& options) {
+  const std::vector<PeerProfile>& profiles = options.profiles;
   const uint32_t n = graph.num_nodes();
   TrustMatrix trust(n);
   TrustEstimator estimator(&trust, options.trust);
-  NewcomerPolicy policy(options.policy);
+  NewcomerPolicy policy(options.newcomer_policy);
   Rng rng(options.seed);
-  WhitewashingReport report;
+  ScenarioReport report;
   std::vector<uint32_t> window_requests(n, 0), window_served(n, 0);
   std::vector<uint32_t> rounds_since_join(n, 1000000);
 
   auto stranger_trust = [&] {
-    switch (options.mode) {
+    switch (options.newcomer_mode) {
       case NewcomerMode::kZero:
         return 0.0;
       case NewcomerMode::kOptimistic:
-        return options.policy.optimistic_initial;
+        return options.newcomer_policy.optimistic_initial;
       case NewcomerMode::kAdaptive:
         return policy.InitialTrust();
     }
@@ -222,8 +223,8 @@ WhitewashingReport LegacyWhitewashingRun(
           !requester_ww &&
           rounds_since_join[requester] < options.assessment_window;
       ClassMetrics& metrics =
-          requester_ww ? report.whitewasher
-                       : (is_newcomer ? report.newcomer : report.honest);
+          requester_ww ? report.free_rider
+                       : (is_newcomer ? report.newcomer : report.cooperative);
       ++metrics.requests;
       ++window_requests[requester];
 
@@ -253,8 +254,8 @@ WhitewashingReport LegacyWhitewashingRun(
             !provider_ww &&
             rounds_since_join[provider] < options.assessment_window;
         ClassMetrics& provider_metrics =
-            provider_ww ? report.whitewasher
-                        : (provider_new ? report.newcomer : report.honest);
+            provider_ww ? report.free_rider
+                        : (provider_new ? report.newcomer : report.cooperative);
         ++provider_metrics.uploads;
       } else {
         ++metrics.refused;
@@ -301,20 +302,18 @@ WhitewashingReport LegacyWhitewashingRun(
 
 TEST(WrapperEquivalenceTest, FileSharingEngineMatchesLegacyClosedLoop) {
   Graph g = MakePaGraph(40, 2, 300);
-  auto profiles = Population(40, 0.25, 301);
-  FileSharingOptions o;
-  o.num_rounds = 30;
-  o.gossip_every = 10;
-  o.reputation.aggregation.gossip.xi = 1e-6;
-  o.seed = 302;
+  ScenarioSpec spec = FileSharingScenarioSpec(Population(40, 0.25, 301));
+  spec.num_rounds = 30;
+  spec.gossip_every = 10;
+  spec.reputation.aggregation.gossip.xi = 1e-6;
+  spec.seed = 302;
 
-  LegacyFileSharingResult legacy =
-      LegacyFileSharingRun(g, profiles, o, std::nullopt);
+  LegacyFileSharingResult legacy = LegacyFileSharingRun(g, spec);
 
-  auto sim = FileSharingSim::Create(&g, profiles, o);
-  ASSERT_TRUE(sim.ok());
-  EXPECT_OK((*sim)->Run());
-  const FileSharingReport& rep = (*sim)->report();
+  auto runner = ScenarioRunner::Create(&g, spec);
+  ASSERT_TRUE(runner.ok());
+  EXPECT_OK((*runner)->Run());
+  const ScenarioReport& rep = (*runner)->report();
 
   ExpectClassEq(rep.cooperative, legacy.report.cooperative);
   ExpectClassEq(rep.free_rider, legacy.report.free_rider);
@@ -347,18 +346,15 @@ TEST(WrapperEquivalenceTest,
                                                : PeerStrategy::kCooperative;
     profiles[i].service_quality = qrng.NextDouble(0.6, 1.0);
   }
-  FileSharingOptions o;
-  o.num_rounds = 24;
-  o.gossip_every = 8;
-  o.reputation.aggregation.gossip.xi = 1e-6;
-  o.seed = 313;
+  ScenarioSpec spec = FileSharingScenarioSpec(profiles, *plan);
+  spec.num_rounds = 24;
+  spec.gossip_every = 8;
+  spec.reputation.aggregation.gossip.xi = 1e-6;
+  spec.seed = 313;
 
-  LegacyFileSharingResult legacy =
-      LegacyFileSharingRun(g, profiles, o, *plan);
+  LegacyFileSharingResult legacy = LegacyFileSharingRun(g, spec);
 
-  // Drive the canned spec directly so the served snapshot is reachable.
-  auto runner =
-      ScenarioRunner::Create(&g, FileSharingScenarioSpec(profiles, o, *plan));
+  auto runner = ScenarioRunner::Create(&g, spec);
   ASSERT_TRUE(runner.ok());
   EXPECT_OK((*runner)->Run());
   const ScenarioReport& rep = (*runner)->report();
@@ -380,73 +376,29 @@ TEST(WrapperEquivalenceTest,
   }
 }
 
-TEST(WrapperEquivalenceTest, FileSharingFacadeIsTheCannedSpec) {
-  Graph g = MakePaGraph(36, 2, 320);
-  auto profiles = Population(36, 0.2, 321);
-  FileSharingOptions o;
-  o.num_rounds = 20;
-  o.gossip_every = 5;
-  o.reputation.aggregation.gossip.xi = 1e-6;
-  o.seed = 322;
-
-  auto sim = FileSharingSim::Create(&g, profiles, o);
-  auto runner =
-      ScenarioRunner::Create(&g, FileSharingScenarioSpec(profiles, o));
-  ASSERT_TRUE(sim.ok() && runner.ok());
-  EXPECT_OK((*sim)->Run());
-  EXPECT_OK((*runner)->Run());
-  ExpectClassEq((*sim)->report().cooperative,
-                (*runner)->report().cooperative);
-  ExpectClassEq((*sim)->report().free_rider,
-                (*runner)->report().free_rider);
-  EXPECT_EQ((*sim)->report().gossip_rounds,
-            (*runner)->report().gossip_rounds);
-}
-
 TEST(WrapperEquivalenceTest,
      WhitewashingMatchesLegacyAccountingAtWeightOne) {
   Graph g = MakePaGraph(50, 2, 330);
-  auto profiles = Population(50, 0.25, 331);
-  WhitewashingOptions o;
-  o.num_rounds = 100;
-  o.mode = NewcomerMode::kAdaptive;
-  o.seed = 332;
-  o.refused_reciprocity_weight = 1.0;  // the pre-fix accounting
+  ScenarioSpec spec = WhitewashingScenarioSpec(Population(50, 0.25, 331));
+  spec.num_rounds = 100;
+  spec.newcomer_mode = NewcomerMode::kAdaptive;
+  spec.seed = 332;
+  spec.refused_reciprocity_weight = 1.0;  // the pre-fix accounting
 
-  WhitewashingReport legacy = LegacyWhitewashingRun(g, profiles, o);
+  ScenarioReport legacy = LegacyWhitewashingRun(g, spec);
 
-  auto sim = WhitewashingSim::Create(&g, profiles, o);
-  ASSERT_TRUE(sim.ok());
-  EXPECT_OK((*sim)->Run());
-  const WhitewashingReport& rep = (*sim)->report();
+  auto runner = ScenarioRunner::Create(&g, spec);
+  ASSERT_TRUE(runner.ok());
+  EXPECT_OK((*runner)->Run());
+  const ScenarioReport& rep = (*runner)->report();
 
-  ExpectClassEq(rep.honest, legacy.honest);
+  ExpectClassEq(rep.cooperative, legacy.cooperative);
   ExpectClassEq(rep.newcomer, legacy.newcomer);
-  ExpectClassEq(rep.whitewasher, legacy.whitewasher);
+  ExpectClassEq(rep.free_rider, legacy.free_rider);
   EXPECT_EQ(rep.identity_resets, legacy.identity_resets);
   EXPECT_EQ(rep.honest_arrivals, legacy.honest_arrivals);
   EXPECT_EQ(rep.final_initial_trust, legacy.final_initial_trust);
   EXPECT_EQ(rep.final_whitewashing_rate, legacy.final_whitewashing_rate);
-}
-
-TEST(WrapperEquivalenceTest, WhitewashingFacadeIsTheCannedSpec) {
-  Graph g = MakePaGraph(40, 2, 340);
-  auto profiles = Population(40, 0.2, 341);
-  WhitewashingOptions o;
-  o.num_rounds = 60;
-  o.seed = 342;
-  auto sim = WhitewashingSim::Create(&g, profiles, o);
-  auto runner =
-      ScenarioRunner::Create(&g, WhitewashingScenarioSpec(profiles, o));
-  ASSERT_TRUE(sim.ok() && runner.ok());
-  EXPECT_OK((*sim)->Run());
-  EXPECT_OK((*runner)->Run());
-  ExpectClassEq((*sim)->report().honest, (*runner)->report().cooperative);
-  ExpectClassEq((*sim)->report().newcomer, (*runner)->report().newcomer);
-  ExpectClassEq((*sim)->report().whitewasher,
-                (*runner)->report().free_rider);
-  EXPECT_EQ((*sim)->report().identity_resets,
-            (*runner)->report().identity_resets);
 }
 
 TEST(WrapperEquivalenceTest, RefusalDownWeightShrinksRefusalBuiltTrust) {
@@ -457,20 +409,16 @@ TEST(WrapperEquivalenceTest, RefusalDownWeightShrinksRefusalBuiltTrust) {
   // (and with it the service refusals buy) — the pre-fix behaviour let
   // free riding look ~4x cheaper than it is.
   Graph g = MakePaGraph(40, 2, 350);
-  auto profiles = Population(40, 0.25, 351);
-  WhitewashingOptions o;
-  o.num_rounds = 15;
-  o.mode = NewcomerMode::kZero;
-  o.serve_threshold = 0.9;
-  o.seed = 352;
+  ScenarioSpec spec = WhitewashingScenarioSpec(Population(40, 0.25, 351));
+  spec.num_rounds = 15;
+  spec.newcomer_mode = NewcomerMode::kZero;
+  spec.serve_threshold = 0.9;
+  spec.seed = 352;
 
-  WhitewashingOptions legacy_weight = o;
+  ScenarioSpec legacy_weight = spec;
   legacy_weight.refused_reciprocity_weight = 1.0;
-  // Run through the engine directly so the trust matrix is reachable.
-  auto fixed =
-      ScenarioRunner::Create(&g, WhitewashingScenarioSpec(profiles, o));
-  auto legacy = ScenarioRunner::Create(
-      &g, WhitewashingScenarioSpec(profiles, legacy_weight));
+  auto fixed = ScenarioRunner::Create(&g, spec);
+  auto legacy = ScenarioRunner::Create(&g, legacy_weight);
   ASSERT_TRUE(fixed.ok() && legacy.ok());
   EXPECT_OK((*fixed)->Run());
   EXPECT_OK((*legacy)->Run());
