@@ -10,7 +10,6 @@
 #include <cstdlib>
 #include <iostream>
 
-#include "common/histogram.h"
 #include "common/table_writer.h"
 #include "graph/graph_stats.h"
 #include "graph/pa_generator.h"
@@ -43,12 +42,6 @@ int main(int argc, char** argv) {
   if (ks.ok()) {
     std::printf("degree tail vs fitted power law: KS distance %.3f\n",
                 ks.value());
-  }
-  auto hist = dgt::Histogram::Create(2.0, dgt::MaxDegree(*graph) + 1.0, 8);
-  if (hist.ok()) {
-    for (uint32_t d : degrees) hist->Add(d);
-    std::printf("degree histogram (hub-dominated tail = power law):\n");
-    hist->Print(std::cout, 32);
   }
 
   // 2. Direct trust: each edge endpoint rates the other according to its

@@ -41,6 +41,44 @@ double EstimatePowerLawExponent(const Graph& g, uint32_t d_min) {
   return 1.0 + static_cast<double>(n) / log_sum;
 }
 
+std::vector<double> ComplementaryCdf(const std::vector<uint32_t>& sample) {
+  if (sample.empty()) return {};
+  uint32_t max_v = 0;
+  for (uint32_t v : sample) max_v = std::max(max_v, v);
+  std::vector<uint64_t> count(max_v + 2, 0);
+  for (uint32_t v : sample) ++count[v];
+  std::vector<double> ccdf(max_v + 1, 0.0);
+  uint64_t tail = 0;
+  const double n = static_cast<double>(sample.size());
+  for (int64_t k = max_v; k >= 0; --k) {
+    tail += count[k];
+    ccdf[static_cast<size_t>(k)] = static_cast<double>(tail) / n;
+  }
+  return ccdf;
+}
+
+Result<double> PowerLawKsDistance(const std::vector<uint32_t>& sample,
+                                  uint32_t k_min, double alpha) {
+  if (alpha <= 1.0) return Status::InvalidArgument("alpha must exceed 1");
+  if (k_min == 0) k_min = 1;
+  // Restrict to the tail k >= k_min and renormalise the empirical CCDF.
+  std::vector<uint32_t> tail;
+  for (uint32_t v : sample) {
+    if (v >= k_min) tail.push_back(v);
+  }
+  if (tail.empty()) {
+    return Status::InvalidArgument("no sample point reaches k_min");
+  }
+  auto ccdf = ComplementaryCdf(tail);
+  // ccdf[k_min] == 1 by construction after the restriction.
+  double ks = 0.0;
+  for (uint32_t k = k_min; k < ccdf.size(); ++k) {
+    double model = std::pow(static_cast<double>(k) / k_min, 1.0 - alpha);
+    ks = std::max(ks, std::fabs(ccdf[k] - model));
+  }
+  return ks;
+}
+
 std::vector<uint32_t> ConnectedComponents(const Graph& g) {
   constexpr uint32_t kUnvisited = std::numeric_limits<uint32_t>::max();
   std::vector<uint32_t> comp(g.num_nodes(), kUnvisited);

@@ -15,7 +15,7 @@
 // never removes a newer registration with the same name, so interleaved
 // owner lifetimes (server A stops after server B started) stay safe.
 //
-// Histogram buckets are log-linear, HdrHistogram-style: values < 16 get
+// LatencyHistogram buckets are log-linear, HdrHistogram-style: values < 16 get
 // exact unit buckets, then each power of two splits into 16 sub-buckets
 // (kSubBits = 4), for 976 buckets covering the full uint64 range at
 // <= 6.25% relative error. Snapshots are plain data, mergeable across

@@ -2,10 +2,10 @@
 // When a sweep finds an invariant violation it shrinks the offending
 // scenario and writes it with SaveSpec; `bench_scenario_sweep
 // --replay=<file>` (or ReplayArchivedSpec) reloads it bit-exactly and
-// re-runs the checker. The format follows the graph_io idiom: plain text,
-// one `key value...` record per line, '#' comments, a versioned header
-// line. Doubles are printed with %.17g so every field round-trips
-// exactly: SpecFromText(SpecToText(s)) == s, field for field
+// re-runs the checker. The format is plain text, one `key value...`
+// record per line, '#' comments, a versioned header line. Doubles are
+// printed with %.17g so every field round-trips exactly:
+// SpecFromText(SpecToText(s)) == s, field for field
 // (tests/scenario/fuzz/spec_text_test.cc).
 
 #ifndef DGT_SCENARIO_FUZZ_SPEC_TEXT_H_
