@@ -17,9 +17,8 @@
 // Close remain poppable so accepted work is never silently dropped.
 //
 // A mutex-protected deque is deliberately chosen over a lock-free list:
-// pushes are rare next to reads (snapshot queries never touch this
-// queue), consumers take items in O(batch), and the simple
-// implementation is trivially TSan-clean.
+// every critical section is O(1) per item, consumers take items in
+// O(batch), and the simple implementation is trivially TSan-clean.
 //
 // Capability contract (machine-checked via -Wthread-safety): items_,
 // closed_ and the counters are DGT_GUARDED_BY(mu_); cv_ hand-offs happen

@@ -16,9 +16,7 @@ ScenarioSpec FileSharingScenarioSpec(std::vector<PeerProfile> profiles,
   spec.lifecycle_enabled = false;
   ScenarioPhase phase;
   phase.name = "file-sharing";
-  // Always-on: matches the original simulator, where a colluder colluded
-  // for the whole run.
-  phase.collusion_active = true;
+  phase.collusion_active = true;  // colluders collude for the whole run
   spec.phases = {std::move(phase)};
   return spec;
 }

@@ -15,7 +15,7 @@ namespace dgt {
 namespace {
 
 // A node that has never reset counts as "joined long ago" — it must not
-// classify as a newcomer (the original whitewashing simulator's rule).
+// classify as a newcomer.
 constexpr uint32_t kJoinedLongAgo = 1000000;
 
 enum class MetricClass { kCooperative, kFreeRider, kColluder, kNewcomer };

@@ -21,8 +21,7 @@
 //     into a ScenarioReport.
 //
 // The paper's stock file-sharing and whitewashing workloads are canned
-// specs for this engine (scenario/canned_specs.h); the closed-loop
-// simulators they replaced live on only as test oracles.
+// specs for this engine (scenario/canned_specs.h).
 
 #ifndef DGT_SCENARIO_SCENARIO_RUNNER_H_
 #define DGT_SCENARIO_SCENARIO_RUNNER_H_
