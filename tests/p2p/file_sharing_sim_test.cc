@@ -1,16 +1,13 @@
-// Behaviour of the two canned workloads run through the ScenarioRunner:
-// the file-sharing economics (free riders suppressed once reputation
-// rounds start, colluders serving only group mates, the collusion
-// reporting mode reaching aggregation) and the whitewashing study's
-// stranger-trust dial (zero starves, optimism is exploitable, the
-// adaptive policy clamps under attack).
-
-#include "scenario/canned_specs.h"
+// Behaviour of the file-sharing simulation, the canned file-sharing
+// workload run through the ScenarioRunner: free riders are suppressed once
+// reputation rounds start, colluders serve only group mates, and the
+// collusion reporting mode reaches aggregation.
 
 #include <optional>
 #include <utility>
 #include <vector>
 
+#include "scenario/canned_specs.h"
 #include "scenario/scenario_runner.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
@@ -29,15 +26,6 @@ ScenarioSpec FileSharing(std::vector<PeerProfile> peers, uint32_t rounds = 40,
   spec.gossip_every = gossip_every;
   spec.reputation.aggregation.gossip.xi = 1e-6;
   spec.seed = 5;
-  return spec;
-}
-
-ScenarioSpec Whitewashing(std::vector<PeerProfile> peers, NewcomerMode mode,
-                          uint32_t rounds = 120) {
-  ScenarioSpec spec = WhitewashingScenarioSpec(std::move(peers));
-  spec.newcomer_mode = mode;
-  spec.num_rounds = rounds;
-  spec.seed = 7;
   return spec;
 }
 
@@ -64,7 +52,7 @@ std::vector<PeerProfile> PlannedPopulation(uint32_t n,
   return peers;
 }
 
-TEST(FileSharingSpecTest, ReportAccountsAllRequests) {
+TEST(FileSharingSimTest, ReportAccountsAllRequests) {
   Graph g = MakePaGraph(40);
   auto runner =
       ScenarioRunner::Create(&g, FileSharing(Population(40, 0.25), 20, 5));
@@ -83,7 +71,7 @@ TEST(FileSharingSpecTest, ReportAccountsAllRequests) {
   EXPECT_EQ(rep.gossip_rounds, 4u);
 }
 
-TEST(FileSharingSpecTest, TrustMatrixPopulatedByTransactions) {
+TEST(FileSharingSimTest, TrustMatrixPopulatedByTransactions) {
   Graph g = MakePaGraph(30);
   auto runner =
       ScenarioRunner::Create(&g, FileSharing(Population(30, 0.0), 10, 0));
@@ -92,7 +80,7 @@ TEST(FileSharingSpecTest, TrustMatrixPopulatedByTransactions) {
   EXPECT_GT((*runner)->trust().TotalOpinions(), 0u);
 }
 
-TEST(FileSharingSpecTest, ReputationSuppressesFreeRiders) {
+TEST(FileSharingSimTest, ReputationSuppressesFreeRiders) {
   // The headline behaviour: with aggregation on, free riders' success
   // rate must end up well below cooperative peers'.
   Graph g = MakePaGraph(60, 2, 200);
@@ -115,7 +103,7 @@ TEST(FileSharingSpecTest, ReputationSuppressesFreeRiders) {
       << "free riders should be clearly worse off late in the run";
 }
 
-TEST(FileSharingSpecTest, FreeRidersThriveWithoutReputation) {
+TEST(FileSharingSimTest, FreeRidersThriveWithoutReputation) {
   // Ablation: gossip disabled -> free riders are served at rates similar
   // to everyone else (newcomer altruism + no global knowledge).
   Graph g = MakePaGraph(60, 2, 202);
@@ -130,7 +118,7 @@ TEST(FileSharingSpecTest, FreeRidersThriveWithoutReputation) {
   EXPECT_LT(fr_with, fr_without);
 }
 
-TEST(FileSharingSpecTest, DeterministicPerSeed) {
+TEST(FileSharingSimTest, DeterministicPerSeed) {
   Graph g = MakePaGraph(30, 2, 204);
   auto peers = Population(30, 0.2, 205);
   auto a = ScenarioRunner::Create(&g, FileSharing(peers, 15, 5));
@@ -144,7 +132,7 @@ TEST(FileSharingSpecTest, DeterministicPerSeed) {
             (*b)->report().free_rider.refused);
 }
 
-TEST(FileSharingSpecTest, ColludersServeOnlyGroupMates) {
+TEST(FileSharingSimTest, ColludersServeOnlyGroupMates) {
   Graph g = MakePaGraph(40, 2, 206);
   CollusionConfig cfg;
   cfg.colluding_fraction = 0.25;
@@ -162,7 +150,7 @@ TEST(FileSharingSpecTest, ColludersServeOnlyGroupMates) {
   EXPECT_GT((*runner)->report().colluder.requests, 0u);
 }
 
-TEST(FileSharingSpecTest, CollusionReportingModeReachesAggregation) {
+TEST(FileSharingSimTest, CollusionReportingModeReachesAggregation) {
   // Regression for the plumbing bug: RunReputationRound used to build a
   // default CollusionConfig, silently forcing dense reporting
   // (report_zero_for_outsiders = true) no matter what the experiment
@@ -201,7 +189,7 @@ TEST(FileSharingSpecTest, CollusionReportingModeReachesAggregation) {
             sparse_reported.TotalOpinions());
 }
 
-TEST(FileSharingSpecTest, SnapshotSeriesConsistent) {
+TEST(FileSharingSimTest, SnapshotSeriesConsistent) {
   Graph g = MakePaGraph(30, 2, 209);
   ScenarioSpec spec = FileSharing(Population(30, 0.2, 210), 12, 4);
   auto runner = ScenarioRunner::Create(&g, spec);
@@ -217,101 +205,6 @@ TEST(FileSharingSpecTest, SnapshotSeriesConsistent) {
   EXPECT_EQ(coop_sum.requests, rep.cooperative.requests);
   EXPECT_EQ(coop_sum.served, rep.cooperative.served);
   EXPECT_EQ(coop_sum.refused, rep.cooperative.refused);
-}
-
-// In the whitewashing study the free riders are the whitewashers and the
-// cooperative class is the established honest peers.
-
-TEST(WhitewashingSpecTest, ZeroModeStarvesWhitewashersAndNewcomers) {
-  Graph g = MakePaGraph(60, 2, 220);
-  auto peers = Population(60, 0.25, 221);
-  auto runner =
-      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
-  ASSERT_TRUE(runner.ok());
-  ASSERT_TRUE((*runner)->Run().ok());
-  const auto& rep = (*runner)->report();
-  // Whitewashing buys nothing: strangers get 0 trust, so success stays
-  // very low (established honest trust carries the honest class).
-  EXPECT_LT(rep.free_rider.SuccessRate(), 0.1);
-  // Margin note: refused requests now build reciprocity trust at
-  // refused_reciprocity_weight (0.25) instead of full strength — a
-  // refusal is an encounter, not a transaction — so under kZero the
-  // honest bootstrap is slower than it was when refusals counted as full
-  // transactions, and the honest/whitewasher gap is ~0.28 rather than
-  // the inflated ~0.4 the pre-fix accounting produced.
-  EXPECT_GT(rep.cooperative.SuccessRate(), rep.free_rider.SuccessRate() + 0.2);
-}
-
-TEST(WhitewashingSpecTest, OptimisticModeIsExploitable) {
-  Graph g = MakePaGraph(60, 2, 222);
-  auto peers = Population(60, 0.25, 223);
-  auto zero =
-      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
-  auto opt = ScenarioRunner::Create(
-      &g, Whitewashing(peers, NewcomerMode::kOptimistic));
-  ASSERT_TRUE(zero.ok() && opt.ok());
-  ASSERT_TRUE((*zero)->Run().ok());
-  ASSERT_TRUE((*opt)->Run().ok());
-  // Fixed optimism hands whitewashers clearly more service than the
-  // conservative default.
-  EXPECT_GT((*opt)->report().free_rider.SuccessRate(),
-            (*zero)->report().free_rider.SuccessRate() + 0.05);
-}
-
-TEST(WhitewashingSpecTest, AdaptiveModeClampsUnderAttack) {
-  Graph g = MakePaGraph(60, 2, 224);
-  auto peers = Population(60, 0.25, 225);
-  auto opt = ScenarioRunner::Create(
-      &g, Whitewashing(peers, NewcomerMode::kOptimistic));
-  auto adaptive =
-      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kAdaptive));
-  ASSERT_TRUE(opt.ok() && adaptive.ok());
-  ASSERT_TRUE((*opt)->Run().ok());
-  ASSERT_TRUE((*adaptive)->Run().ok());
-  // The adaptive dial detects the resets and withdraws the stranger
-  // trust, so whitewashers end up below the static-optimistic level.
-  EXPECT_LT((*adaptive)->report().free_rider.SuccessRate(),
-            (*opt)->report().free_rider.SuccessRate());
-  // And the dial actually moved.
-  EXPECT_LT((*adaptive)->report().final_initial_trust,
-            NewcomerPolicyOptions{}.optimistic_initial);
-  EXPECT_GT((*adaptive)->report().final_whitewashing_rate, 0.0);
-}
-
-TEST(WhitewashingSpecTest, ResetsHappenUnderPressure) {
-  Graph g = MakePaGraph(50, 2, 226);
-  auto peers = Population(50, 0.3, 227);
-  auto runner =
-      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
-  ASSERT_TRUE(runner.ok());
-  ASSERT_TRUE((*runner)->Run().ok());
-  EXPECT_GT((*runner)->report().identity_resets, 0u);
-}
-
-TEST(WhitewashingSpecTest, HonestArrivalsTracked) {
-  Graph g = MakePaGraph(50, 2, 228);
-  ScenarioSpec spec =
-      Whitewashing(Population(50, 0.1, 229), NewcomerMode::kAdaptive, 200);
-  spec.honest_arrival_prob = 0.5;
-  auto runner = ScenarioRunner::Create(&g, std::move(spec));
-  ASSERT_TRUE(runner.ok());
-  ASSERT_TRUE((*runner)->Run().ok());
-  EXPECT_GT((*runner)->report().honest_arrivals, 0u);
-  EXPECT_GT((*runner)->report().newcomer.requests, 0u);
-}
-
-TEST(WhitewashingSpecTest, DeterministicPerSeed) {
-  Graph g = MakePaGraph(40, 2, 230);
-  ScenarioSpec spec =
-      Whitewashing(Population(40, 0.2, 231), NewcomerMode::kAdaptive, 60);
-  auto a = ScenarioRunner::Create(&g, spec);
-  auto b = ScenarioRunner::Create(&g, spec);
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE((*a)->Run().ok());
-  ASSERT_TRUE((*b)->Run().ok());
-  EXPECT_EQ((*a)->report().free_rider.served,
-            (*b)->report().free_rider.served);
-  EXPECT_EQ((*a)->report().identity_resets, (*b)->report().identity_resets);
 }
 
 }  // namespace

@@ -1,5 +1,16 @@
-#include "p2p/whitewashing_sim.h"
+// Behaviour of the whitewashing simulation, the canned whitewashing
+// workload run through the ScenarioRunner: the stranger-trust dial's zero
+// setting starves whitewashers, fixed optimism is exploitable, and the
+// adaptive policy clamps under attack.
+//
+// In the whitewashing study the free riders are the whitewashers and the
+// cooperative class is the established honest peers.
 
+#include <utility>
+#include <vector>
+
+#include "scenario/canned_specs.h"
+#include "scenario/scenario_runner.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
@@ -8,135 +19,113 @@ namespace {
 
 using testing_util::MakePaGraph;
 
-std::vector<PeerProfile> Mix(uint32_t n, double whitewashers,
-                             uint64_t seed = 6) {
+ScenarioSpec Whitewashing(std::vector<PeerProfile> peers, NewcomerMode mode,
+                          uint32_t rounds = 120) {
+  ScenarioSpec spec = WhitewashingScenarioSpec(std::move(peers));
+  spec.newcomer_mode = mode;
+  spec.num_rounds = rounds;
+  spec.seed = 7;
+  return spec;
+}
+
+std::vector<PeerProfile> Population(uint32_t n, double free_riders,
+                                    uint64_t seed = 6) {
   Rng rng(seed);
   PopulationMix mix;
-  mix.free_rider_fraction = whitewashers;
+  mix.free_rider_fraction = free_riders;
   mix.min_quality = 0.6;
   return MakePopulation(n, mix, rng);
 }
 
-WhitewashingOptions Opts(NewcomerMode mode, uint32_t rounds = 120) {
-  WhitewashingOptions o;
-  o.mode = mode;
-  o.num_rounds = rounds;
-  o.seed = 7;
-  return o;
-}
-
-TEST(WhitewashingSimTest, CreateValidatesInput) {
-  Graph g = MakePaGraph(20);
-  auto peers = Mix(20, 0.2);
-  EXPECT_FALSE(WhitewashingSim::Create(nullptr, peers,
-                                       Opts(NewcomerMode::kZero))
-                   .ok());
-  auto short_peers = peers;
-  short_peers.pop_back();
-  EXPECT_FALSE(WhitewashingSim::Create(&g, short_peers,
-                                       Opts(NewcomerMode::kZero))
-                   .ok());
-  WhitewashingOptions bad = Opts(NewcomerMode::kZero);
-  bad.serve_threshold = 0.0;
-  EXPECT_FALSE(WhitewashingSim::Create(&g, peers, bad).ok());
-  bad = Opts(NewcomerMode::kZero);
-  bad.assessment_window = 0;
-  EXPECT_FALSE(WhitewashingSim::Create(&g, peers, bad).ok());
-}
-
-TEST(WhitewashingSimTest, RunOnceOnly) {
-  Graph g = MakePaGraph(20);
-  auto sim =
-      WhitewashingSim::Create(&g, Mix(20, 0.2), Opts(NewcomerMode::kZero, 5));
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run().ok());
-  EXPECT_EQ((*sim)->Run().code(), StatusCode::kFailedPrecondition);
-}
-
 TEST(WhitewashingSimTest, ZeroModeStarvesWhitewashersAndNewcomers) {
   Graph g = MakePaGraph(60, 2, 220);
-  auto sim = WhitewashingSim::Create(&g, Mix(60, 0.25, 221),
-                                     Opts(NewcomerMode::kZero));
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run().ok());
-  const auto& rep = (*sim)->report();
+  auto peers = Population(60, 0.25, 221);
+  auto runner =
+      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
+  ASSERT_TRUE(runner.ok());
+  ASSERT_TRUE((*runner)->Run().ok());
+  const auto& rep = (*runner)->report();
   // Whitewashing buys nothing: strangers get 0 trust, so success stays
   // very low (established honest trust carries the honest class).
-  EXPECT_LT(rep.whitewasher.SuccessRate(), 0.1);
+  EXPECT_LT(rep.free_rider.SuccessRate(), 0.1);
   // Margin note: refused requests now build reciprocity trust at
   // refused_reciprocity_weight (0.25) instead of full strength — a
   // refusal is an encounter, not a transaction — so under kZero the
   // honest bootstrap is slower than it was when refusals counted as full
   // transactions, and the honest/whitewasher gap is ~0.28 rather than
   // the inflated ~0.4 the pre-fix accounting produced.
-  EXPECT_GT(rep.honest.SuccessRate(), rep.whitewasher.SuccessRate() + 0.2);
+  EXPECT_GT(rep.cooperative.SuccessRate(), rep.free_rider.SuccessRate() + 0.2);
 }
 
 TEST(WhitewashingSimTest, OptimisticModeIsExploitable) {
   Graph g = MakePaGraph(60, 2, 222);
-  auto zero = WhitewashingSim::Create(&g, Mix(60, 0.25, 223),
-                                      Opts(NewcomerMode::kZero));
-  auto opt = WhitewashingSim::Create(&g, Mix(60, 0.25, 223),
-                                     Opts(NewcomerMode::kOptimistic));
+  auto peers = Population(60, 0.25, 223);
+  auto zero =
+      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
+  auto opt = ScenarioRunner::Create(
+      &g, Whitewashing(peers, NewcomerMode::kOptimistic));
   ASSERT_TRUE(zero.ok() && opt.ok());
   ASSERT_TRUE((*zero)->Run().ok());
   ASSERT_TRUE((*opt)->Run().ok());
   // Fixed optimism hands whitewashers clearly more service than the
   // conservative default.
-  EXPECT_GT((*opt)->report().whitewasher.SuccessRate(),
-            (*zero)->report().whitewasher.SuccessRate() + 0.05);
+  EXPECT_GT((*opt)->report().free_rider.SuccessRate(),
+            (*zero)->report().free_rider.SuccessRate() + 0.05);
 }
 
 TEST(WhitewashingSimTest, AdaptiveModeClampsUnderAttack) {
   Graph g = MakePaGraph(60, 2, 224);
-  auto opt = WhitewashingSim::Create(&g, Mix(60, 0.25, 225),
-                                     Opts(NewcomerMode::kOptimistic));
-  auto adaptive = WhitewashingSim::Create(&g, Mix(60, 0.25, 225),
-                                          Opts(NewcomerMode::kAdaptive));
+  auto peers = Population(60, 0.25, 225);
+  auto opt = ScenarioRunner::Create(
+      &g, Whitewashing(peers, NewcomerMode::kOptimistic));
+  auto adaptive =
+      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kAdaptive));
   ASSERT_TRUE(opt.ok() && adaptive.ok());
   ASSERT_TRUE((*opt)->Run().ok());
   ASSERT_TRUE((*adaptive)->Run().ok());
   // The adaptive dial detects the resets and withdraws the stranger
   // trust, so whitewashers end up below the static-optimistic level.
-  EXPECT_LT((*adaptive)->report().whitewasher.SuccessRate(),
-            (*opt)->report().whitewasher.SuccessRate());
+  EXPECT_LT((*adaptive)->report().free_rider.SuccessRate(),
+            (*opt)->report().free_rider.SuccessRate());
   // And the dial actually moved.
   EXPECT_LT((*adaptive)->report().final_initial_trust,
-            WhitewashingOptions{}.policy.optimistic_initial);
+            NewcomerPolicyOptions{}.optimistic_initial);
   EXPECT_GT((*adaptive)->report().final_whitewashing_rate, 0.0);
 }
 
 TEST(WhitewashingSimTest, ResetsHappenUnderPressure) {
   Graph g = MakePaGraph(50, 2, 226);
-  auto sim = WhitewashingSim::Create(&g, Mix(50, 0.3, 227),
-                                     Opts(NewcomerMode::kZero));
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run().ok());
-  EXPECT_GT((*sim)->report().identity_resets, 0u);
+  auto peers = Population(50, 0.3, 227);
+  auto runner =
+      ScenarioRunner::Create(&g, Whitewashing(peers, NewcomerMode::kZero));
+  ASSERT_TRUE(runner.ok());
+  ASSERT_TRUE((*runner)->Run().ok());
+  EXPECT_GT((*runner)->report().identity_resets, 0u);
 }
 
 TEST(WhitewashingSimTest, HonestArrivalsTracked) {
   Graph g = MakePaGraph(50, 2, 228);
-  WhitewashingOptions o = Opts(NewcomerMode::kAdaptive, 200);
-  o.honest_arrival_prob = 0.5;
-  auto sim = WhitewashingSim::Create(&g, Mix(50, 0.1, 229), o);
-  ASSERT_TRUE(sim.ok());
-  ASSERT_TRUE((*sim)->Run().ok());
-  EXPECT_GT((*sim)->report().honest_arrivals, 0u);
-  EXPECT_GT((*sim)->report().newcomer.requests, 0u);
+  ScenarioSpec spec =
+      Whitewashing(Population(50, 0.1, 229), NewcomerMode::kAdaptive, 200);
+  spec.honest_arrival_prob = 0.5;
+  auto runner = ScenarioRunner::Create(&g, std::move(spec));
+  ASSERT_TRUE(runner.ok());
+  ASSERT_TRUE((*runner)->Run().ok());
+  EXPECT_GT((*runner)->report().honest_arrivals, 0u);
+  EXPECT_GT((*runner)->report().newcomer.requests, 0u);
 }
 
 TEST(WhitewashingSimTest, DeterministicPerSeed) {
   Graph g = MakePaGraph(40, 2, 230);
-  auto a = WhitewashingSim::Create(&g, Mix(40, 0.2, 231),
-                                   Opts(NewcomerMode::kAdaptive, 60));
-  auto b = WhitewashingSim::Create(&g, Mix(40, 0.2, 231),
-                                   Opts(NewcomerMode::kAdaptive, 60));
+  ScenarioSpec spec =
+      Whitewashing(Population(40, 0.2, 231), NewcomerMode::kAdaptive, 60);
+  auto a = ScenarioRunner::Create(&g, spec);
+  auto b = ScenarioRunner::Create(&g, spec);
   ASSERT_TRUE(a.ok() && b.ok());
   ASSERT_TRUE((*a)->Run().ok());
   ASSERT_TRUE((*b)->Run().ok());
-  EXPECT_EQ((*a)->report().whitewasher.served,
-            (*b)->report().whitewasher.served);
+  EXPECT_EQ((*a)->report().free_rider.served,
+            (*b)->report().free_rider.served);
   EXPECT_EQ((*a)->report().identity_resets, (*b)->report().identity_resets);
 }
 
