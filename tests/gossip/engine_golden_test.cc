@@ -1,10 +1,11 @@
-// Golden outputs of the synchronous gossip engines and the vector
-// aggregation variants built on them. Each case pins the exact step
-// count, message counts, peak sparse state and a 64-bit FNV-1a digest of
-// the IEEE-754 bits of every output double, so any change to an engine's
-// draw order or floating-point accumulation order fails here — even one
-// that moves two code paths the same way and so passes the equivalence
-// tests, which only compare paths of the same build against each other.
+// Golden outputs of the synchronous and event-driven gossip engines and
+// the vector aggregation variants built on them. Each case pins the exact
+// step (or event) count, message counts, peak sparse state and a 64-bit
+// FNV-1a digest of the IEEE-754 bits of every output double, so any change
+// to an engine's draw order or floating-point accumulation order fails
+// here — even one that moves two code paths the same way and so passes
+// the equivalence tests, which only compare paths of the same build
+// against each other.
 
 #include <cstdint>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "gossip/churn_engine.h"
 #include "gossip/scalar_engine.h"
 #include "gossip/sparse_vector_engine.h"
+#include "net/async_gossip.h"
 #include "reputation/aggregation.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
@@ -114,6 +116,10 @@ TEST(EngineGolden, ScalarPushSum) {
        0.0,
        "steps=193 converged=1 gossip=7277 control=250 peak_nnz=0 "
        "digest=4b31708f64e73f61"},
+      {"unif_seq_noloss", PushStrategy::kUniform, GossipRngMode::kSequential,
+       0.0,
+       "steps=195 converged=1 gossip=7655 control=250 peak_nnz=0 "
+       "digest=7babac5c92e6ba4c"},
   };
   Graph g = MakePaGraph(64, 2, 31);
   for (const ScalarCase& c : cases) {
@@ -277,6 +283,91 @@ TEST(EngineGolden, ChurnPushSum) {
   }
 }
 
+// --- Event-driven engines (net/async_engine.h) ------------------------
+
+// Every AsyncEngineStats field; sim_time goes into the digest.
+std::string AsyncSummary(const AsyncEngineStats& s, Digest d) {
+  d.Double(s.sim_time);
+  std::ostringstream os;
+  os << "converged=" << s.converged << " firings=" << s.max_node_firings
+     << " events=" << s.events << " gossip=" << s.gossip_messages
+     << " control=" << s.control_messages << " digest=" << d.Hex();
+  return os.str();
+}
+
+TEST(EngineGolden, AsyncPushSum) {
+  // A quarter of the nodes start with gossip weight, so early snapshots
+  // sit at the ratio sentinel and the convergence test compares with it.
+  const uint32_t n = 64;
+  Graph g = MakePaGraph(n, 2, 34);
+  std::vector<double> g0(n, 0.0);
+  for (uint32_t i = 0; i < n; i += 4) g0[i] = 1.0;
+  const std::pair<double, const char*> cases[] = {
+      {0.0,
+       "converged=1 firings=137 events=16897 gossip=8833 control=500 "
+       "digest=a5431a760f5c0ab8"},
+      {0.1,
+       "converged=1 firings=159 events=19035 gossip=10535 control=500 "
+       "digest=eff55f055b146090"},
+  };
+  for (const auto& [loss, golden] : cases) {
+    for (uint32_t t : {1u, 4u}) {
+      AsyncGossipOptions o;
+      o.packet_loss_prob = loss;
+      o.xi = 1e-6;
+      o.seed = 11;
+      o.num_threads = t;
+      AsyncPushSum engine(&g, o);
+      auto r = engine.Run(RandomValues(n, 23), g0);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Digest d;
+      d.Doubles(r->ratios);
+      d.Doubles(r->values);
+      d.Doubles(r->weights);
+      EXPECT_EQ(AsyncSummary(*r, d), golden) << "loss=" << loss << " T=" << t;
+    }
+  }
+}
+
+TEST(EngineGolden, AsyncSparsePushSum) {
+  const uint32_t n = 40;
+  Graph g = MakePaGraph(n, 2, 61);
+  const struct {
+    bool use_count;
+    double loss;
+    const char* golden;
+  } cases[] = {
+      {false, 0.0,
+       "converged=1 firings=96 events=7077 gossip=3710 control=308 "
+       "digest=5465e9806fdc5ed2"},
+      {true, 0.1,
+       "converged=1 firings=129 events=10247 gossip=5753 control=308 "
+       "digest=2456ebf7799f1464"},
+  };
+  for (const auto& c : cases) {
+    for (uint32_t t : {1u, 4u}) {
+      AsyncGossipOptions o;
+      o.packet_loss_prob = c.loss;
+      o.xi = 1e-6;
+      o.seed = 7;
+      o.num_threads = t;
+      AsyncSparsePushSum engine(&g, o);
+      auto r = engine.Run(SparseInit(n, c.use_count), c.use_count);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Digest d;
+      for (const SparseVectorRow& row : r->rows) {
+        d.Word(row.cols.size());
+        for (uint32_t col : row.cols) d.Word(col);
+        d.Doubles(row.y);
+        d.Doubles(row.g);
+        d.Doubles(row.c);
+      }
+      EXPECT_EQ(AsyncSummary(r->stats, d), c.golden)
+          << "count=" << c.use_count << " loss=" << c.loss << " T=" << t;
+    }
+  }
+}
+
 // --- Vector aggregation variants and the GossipTrust baseline ---------
 
 std::string VectorSummary(const std::vector<std::vector<double>>& estimates,
@@ -341,6 +432,35 @@ TEST_F(AggregationGolden, GclrVector) {
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(VectorSummary(r->estimates, r->stats, true), golden)
         << "loss=" << loss;
+  }
+}
+
+TEST_F(AggregationGolden, GclrVectorAsync) {
+  const std::pair<double, const char*> cases[] = {
+      {0.0,
+       "converged=1 firings=127 events=10234 gossip=5393 control=462 "
+       "digest=94a4632c7af4254b"},
+      {0.2,
+       "converged=1 firings=163 events=11487 gossip=6787 control=462 "
+       "digest=1a359abbd7a7b648"},
+  };
+  for (const auto& [loss, golden] : cases) {
+    for (uint32_t t : {1u, 4u}) {
+      AsyncAggregationOptions o;
+      o.gossip.xi = 1e-7;
+      o.gossip.seed = 3;
+      o.gossip.packet_loss_prob = loss;
+      o.gossip.num_threads = t;
+      o.weights.a = 4.0;
+      o.weights.b = 1.0;
+      auto r = AggregateGclrVectorAsync(graph_, trust_, o);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Digest d;
+      d.Word(r->estimates.size());
+      for (const auto& row : r->estimates) d.Doubles(row);
+      EXPECT_EQ(AsyncSummary(r->stats, d), golden)
+          << "loss=" << loss << " T=" << t;
+    }
   }
 }
 
