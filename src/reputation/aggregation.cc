@@ -196,9 +196,6 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   for (NodeId i = 0; i < n; ++i) {
     const auto& row = run.rows[i];
     for (size_t k = 0; k < row.cols.size(); ++k) {
-      // An estimate that lands exactly on the sentinel reads as "no
-      // information", like the absent columns.
-      if (row.estimates[k] == options.gossip.ratio_sentinel) continue;
       out.estimates[i][row.cols[k]] = row.estimates[k];
     }
   }
@@ -325,7 +322,6 @@ Result<VectorAggregationResult> AggregateGclrVector(
       const auto& row = run.rows[i];
       for (size_t k = 0; k < row.cols.size(); ++k) {
         double est = row.estimates[k];
-        if (est == options.gossip.ratio_sentinel) continue;
         const NodeId j = row.cols[k];
         double count_est = options.denominator == DenominatorMode::kAllNodes
                                ? static_cast<double>(n)

@@ -130,6 +130,27 @@ TEST(AggregateGclrVectorTest, MatchesSingleTargetRuns) {
   }
 }
 
+TEST(AggregateGclrVectorTest, EstimateEqualToSentinelIsServed) {
+  // Regression: twenty opinions of 0.5 about node 0 sum to 10, the ratio
+  // reported for a weightless column. Observer 6's sum estimate landed on
+  // exactly 10 and was served 0 instead of its GCLR score.
+  const uint32_t n = 40;
+  Graph g = MakePaGraph(n, 2, 1);
+  TrustMatrix t(n);
+  for (NodeId i = 1; i <= 20; ++i) ASSERT_TRUE(t.Set(i, 0, 0.5).ok());
+  AggregationOptions o = Opts(1e-13, 5);
+  o.gossip.max_steps = 20000;
+  auto r = AggregateGclrVector(g, t, o);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  ASSERT_TRUE(r->stats.converged);
+  for (NodeId i = 0; i < n; ++i) {
+    auto w = WeightTable::Build(t, i, o.weights).value();
+    const double truth =
+        ExactGclrVector(t, g, w, DenominatorMode::kOpinators)[0];
+    EXPECT_NEAR(r->estimates[i][0], truth, 1e-9) << "observer " << i;
+  }
+}
+
 TEST(AggregateGclrVectorTest, EstimatesDifferAcrossObservers) {
   // The whole point of GCLR: different observers hold different values.
   Graph g = MakePaGraph(40, 2, 62);
