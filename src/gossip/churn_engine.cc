@@ -39,11 +39,14 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   if (!IsValidXi(gossip_.xi)) {
     return Status::InvalidArgument("xi must be finite and positive");
   }
-  if (churn_.leave_prob < 0.0 || churn_.leave_prob >= 1.0) {
+  if (!IsProbability(gossip_.packet_loss_prob)) {
+    return Status::InvalidArgument("packet_loss_prob must lie in [0, 1]");
+  }
+  if (!IsProbability(churn_.leave_prob) || churn_.leave_prob >= 1.0) {
     return Status::InvalidArgument("leave_prob must lie in [0, 1)");
   }
-  if (churn_.join_rate < 0.0) {
-    return Status::InvalidArgument("join_rate must be non-negative");
+  if (!std::isfinite(churn_.join_rate) || churn_.join_rate < 0.0) {
+    return Status::InvalidArgument("join_rate must be finite and >= 0");
   }
 
   Rng rng(gossip_.seed);

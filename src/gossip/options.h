@@ -41,6 +41,9 @@ enum class GossipRngMode {
 // every comparison, so no node could ever converge under it.
 inline bool IsValidXi(double xi) { return std::isfinite(xi) && xi > 0.0; }
 
+// A probability lies in [0, 1]; NaN fails both bounds.
+inline bool IsProbability(double p) { return p >= 0.0 && p <= 1.0; }
+
 struct GossipOptions {
   PushStrategy strategy = PushStrategy::kDifferential;
 
@@ -63,6 +66,7 @@ struct GossipOptions {
 
   // Probability that a push to a neighbour is lost (churn model). The
   // pushing node then pushes the share back to itself, preserving mass.
+  // Must satisfy IsProbability.
   double packet_loss_prob = 0.0;
 
   // Hard cap on gossip steps; the run reports converged=false if reached.

@@ -52,7 +52,7 @@ struct NoStepHook {
 // Runs `state` (one Value per node, updated in place) to convergence or
 // options.max_steps. `after_step(state)` is called at the end of every
 // step. Fails with InvalidArgument unless options.xi is finite and
-// positive.
+// positive and options.packet_loss_prob lies in [0, 1].
 template <typename Policy, typename AfterStep = NoStepHook>
 Result<PushSumStats> RunPushSum(const Graph& graph,
                                 const GossipOptions& options,
@@ -63,6 +63,9 @@ Result<PushSumStats> RunPushSum(const Graph& graph,
                                 AfterStep&& after_step = AfterStep()) {
   if (!IsValidXi(options.xi)) {
     return Status::InvalidArgument("xi must be finite and positive");
+  }
+  if (!IsProbability(options.packet_loss_prob)) {
+    return Status::InvalidArgument("packet_loss_prob must lie in [0, 1]");
   }
   const uint32_t n = graph.num_nodes();
   Rng rng(options.seed);

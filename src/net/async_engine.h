@@ -106,8 +106,9 @@ class AsyncEventEngine {
   }
 
   // Runs to convergence or options.max_time. `init` holds one value per
-  // node. Option validation (xi, push_period, jitter) is the caller's
-  // concern only insofar as bad values fail here with InvalidArgument.
+  // node. Option validation (xi, push_period, jitter, loss) is the
+  // caller's concern only insofar as bad values fail here with
+  // InvalidArgument.
   Result<AsyncEngineResult<Policy>> Run(
       std::vector<typename Policy::Value> init) {
     const uint32_t n = graph_->num_nodes();
@@ -122,6 +123,9 @@ class AsyncEventEngine {
     }
     if (options_.period_jitter < 0.0 || options_.period_jitter >= 1.0) {
       return Status::InvalidArgument("period_jitter must lie in [0, 1)");
+    }
+    if (!IsProbability(options_.packet_loss_prob)) {
+      return Status::InvalidArgument("packet_loss_prob must lie in [0, 1]");
     }
     DGT_ASSIGN_OR_RETURN(LinkModel links,
                          LinkModel::Create(n, options_.link));

@@ -6,12 +6,6 @@
 
 namespace dgt {
 
-namespace {
-
-bool IsProbability(double p) { return p >= 0.0 && p <= 1.0; }
-
-}  // namespace
-
 Status ValidateScenarioSpec(const ScenarioSpec& spec, uint32_t num_nodes) {
   if (num_nodes == 0) {
     return Status::InvalidArgument("scenario needs at least one node");

@@ -34,6 +34,33 @@ TEST(ChurnEngineTest, RejectsBadInput) {
                    .Run(std::vector<double>(20, 0.5),
                         std::vector<double>(20, 1.0))
                    .ok());
+  // Regression: NaN passed both range checks, and a join rate of
+  // infinity never leaves the per-step join loop.
+  for (double p : {std::nan(""), HUGE_VAL}) {
+    bad = {};
+    bad.leave_prob = p;
+    EXPECT_FALSE(ChurnPushSum(g, Gossip(), bad)
+                     .Run(std::vector<double>(20, 0.5),
+                          std::vector<double>(20, 1.0))
+                     .ok())
+        << "leave_prob=" << p;
+    bad = {};
+    bad.join_rate = p;
+    EXPECT_FALSE(ChurnPushSum(g, Gossip(), bad)
+                     .Run(std::vector<double>(20, 0.5),
+                          std::vector<double>(20, 1.0))
+                     .ok())
+        << "join_rate=" << p;
+  }
+  for (double loss : {std::nan(""), -0.5, 1.5}) {
+    GossipOptions lossy = Gossip();
+    lossy.packet_loss_prob = loss;
+    EXPECT_FALSE(ChurnPushSum(g, lossy, {})
+                     .Run(std::vector<double>(20, 0.5),
+                          std::vector<double>(20, 1.0))
+                     .ok())
+        << "loss=" << loss;
+  }
 }
 
 TEST(ChurnEngineTest, RejectsNegativeWeightsAndNonFiniteXi) {

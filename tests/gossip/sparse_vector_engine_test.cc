@@ -74,6 +74,16 @@ TEST(SparseVectorEngineTest, RejectsBadInput) {
     EXPECT_FALSE(bad_engine.Run(std::vector<SparseVectorRow>(10), false).ok())
         << "xi=" << xi;
   }
+  // Regression: a NaN or negative loss probability ran lossless, and one
+  // above 1 bounced every push until the step cap.
+  rows[3].g = {1.0, 1.0};
+  ASSERT_TRUE(engine.Run(rows, false).ok());
+  for (double loss : {std::numeric_limits<double>::quiet_NaN(), -0.5, 1.5}) {
+    GossipOptions bad = Opts();
+    bad.packet_loss_prob = loss;
+    SparseVectorPushSum bad_engine(&g, bad);
+    EXPECT_FALSE(bad_engine.Run(rows, false).ok()) << "loss=" << loss;
+  }
 }
 
 // The load-bearing guarantee: for the same options and initial state the

@@ -49,6 +49,15 @@ TEST(AsyncGossipTest, RejectsBadInput) {
   bad.period_jitter = 1.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
                    .ok());
+  // Regression: a NaN or negative loss probability ran lossless, and one
+  // above 1 lost every push until max_time.
+  for (double loss : {std::nan(""), -0.5, 1.5}) {
+    bad = Opts();
+    bad.packet_loss_prob = loss;
+    EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                     .ok())
+        << "loss=" << loss;
+  }
 }
 
 TEST(AsyncGossipTest, ConvergesToAverage) {
