@@ -34,8 +34,7 @@ Result<GossipTrustResult> AggregateGossipTrust(const Graph& graph,
 
   GossipTrustResult out;
   // Densify; a column without gossip weight reads as the sentinel.
-  out.estimates.assign(
-      num, std::vector<double>(num, options.gossip.ratio_sentinel));
+  out.estimates.assign(num, std::vector<double>(num, kRatioSentinel));
   for (NodeId i = 0; i < num; ++i) {
     const auto& row = run.rows[i];
     for (size_t k = 0; k < row.cols.size(); ++k) {

@@ -60,7 +60,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   std::vector<NodeState> node(n0);
   // Gossip pairs, merged through the scalar value policy (the count
   // channel stays unused).
-  const ScalarGossipPolicy policy(gossip_.ratio_sentinel, false);
+  const ScalarGossipPolicy policy(/*use_count=*/false);
   std::vector<ScalarGossipPolicy::Value> mass(n0), merged;
   double total_y = 0.0, total_g = 0.0;
   for (NodeId u = 0; u < n0; ++u) {
@@ -216,9 +216,8 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     push_counts = PushCounts(adj, gossip_.strategy, gossip_.k_rounding);
 
     // Phase A: draw pushes and bin deliveries per receiver, ascending-
-    // sender order. Node ids are never reused, so in counter mode a
-    // joined node's per-(node, step) streams are fresh.
-    BuildStepPlan(adj, gossip_, push_counts, inactive, step, rng, rng, pool,
+    // sender order.
+    BuildStepPlan(adj, push_counts, inactive, gossip_.packet_loss_prob, rng,
                   plan);
     res.gossip_messages += plan.pushes;
 

@@ -103,18 +103,17 @@ bool SparseVectorGossipPolicy::HasWeight(const Value& v) {
 }
 
 SparseVectorGossipPolicy::Snapshot SparseVectorGossipPolicy::TakeSnapshot(
-    const Value& v, double sentinel) {
+    const Value& v) {
   Snapshot snap;
-  snap.sentinel = sentinel;
   snap.cols = v.cols;
   snap.r.resize(v.cols.size());
   for (size_t j = 0; j < v.cols.size(); ++j) {
-    snap.r[j] = v.g[j] != 0.0 ? v.y[j] / v.g[j] : sentinel;
+    snap.r[j] = v.g[j] != 0.0 ? v.y[j] / v.g[j] : kRatioSentinel;
   }
   if (!v.c.empty()) {
     snap.rc.resize(v.cols.size());
     for (size_t j = 0; j < v.cols.size(); ++j) {
-      snap.rc[j] = v.g[j] != 0.0 ? v.c[j] / v.g[j] : sentinel;
+      snap.rc[j] = v.g[j] != 0.0 ? v.c[j] / v.g[j] : kRatioSentinel;
     }
   }
   return snap;
@@ -123,9 +122,8 @@ SparseVectorGossipPolicy::Snapshot SparseVectorGossipPolicy::TakeSnapshot(
 double SparseVectorGossipPolicy::Distance(const Snapshot& a,
                                           const Snapshot& b) {
   // Two-pointer union walk; a column present on one side only means the
-  // other side sat at the sentinel when its snapshot was taken (both
-  // snapshots come from the same run, so the sentinels agree).
-  const double sentinel = b.sentinel;
+  // other side sat at the sentinel when its snapshot was taken.
+  constexpr double sentinel = kRatioSentinel;
   const bool use_count = !a.rc.empty() || !b.rc.empty();
   double l1 = 0.0;
   size_t ia = 0, ib = 0;
@@ -153,9 +151,8 @@ double SparseVectorGossipPolicy::Distance(const Snapshot& a,
 // --- Synchronous interface ---------------------------------------------
 
 SparseVectorGossipPolicy::SparseVectorGossipPolicy(
-    const std::vector<SparseVectorRow>& init, double sentinel, bool use_count)
-    : sentinel_(sentinel),
-      use_count_(use_count),
+    const std::vector<SparseVectorRow>& init, bool use_count)
+    : use_count_(use_count),
       refs_(init.size()),
       replay_refs_(init.size(), 0),
       prev_nnz_(init.size(), 0),
@@ -187,7 +184,7 @@ MergeOutcome SparseVectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
   assert(!plan.inbox[i].empty());
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
-  const double sentinel = sentinel_;
+  constexpr double sentinel = kRatioSentinel;
   std::vector<MergeCursor>& cursors = scratch.cursors;
   cursors.clear();
   for (const PlanEntry& e : plan.inbox[i]) {

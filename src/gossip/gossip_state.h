@@ -15,13 +15,13 @@
 //   Split(v, k) — split v into k+1 equal shares; v keeps one, the
 //     returned Share is sent. Absorb(v, s) — merge an arriving share.
 //   HasWeight(v) — any gossip weight present (the evidence gate).
-//   TakeSnapshot(v, sentinel), Distance(a, b) — the current estimate and
-//     the L1 distance between two (zero-weight columns sit at the ratio
-//     sentinel, the paper's eq. (7)).
+//   TakeSnapshot(v), Distance(a, b) — the current estimate and the L1
+//     distance between two (zero-weight columns sit at kRatioSentinel,
+//     the paper's eq. (7)).
 //   ConvergenceThreshold(n, xi) — xi for scalar, n * xi for vectors.
 //
 // Synchronous interface (on an instance, which carries the run's
-// sentinel, count-channel switch and bookkeeping):
+// count-channel switch and bookkeeping):
 //   Scratch — per-shard merge workspace.
 //   BeginStep(plan, stopped, state) — after push generation.
 //   Merge(i, plan, state, out, scratch) -> MergeOutcome — fold receiver
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "gossip/options.h"
 #include "gossip/step_plan.h"
 #include "graph/graph.h"
 
@@ -76,16 +77,13 @@ class ScalarGossipPolicy {
     v.c += s.c;
   }
   static bool HasWeight(const Value& v) { return v.g != 0.0; }
-  static Snapshot TakeSnapshot(const Value& v, double sentinel) {
-    return v.g != 0.0 ? v.y / v.g : sentinel;
-  }
+  static Snapshot TakeSnapshot(const Value& v) { return Ratio(v.y, v.g); }
   static double Distance(const Snapshot& a, const Snapshot& b) {
     return std::fabs(a - b);
   }
   static double ConvergenceThreshold(uint32_t /*n*/, double xi) { return xi; }
 
-  ScalarGossipPolicy(double sentinel, bool use_count)
-      : sentinel_(sentinel), use_count_(use_count) {}
+  explicit ScalarGossipPolicy(bool use_count) : use_count_(use_count) {}
 
   void BeginStep(const StepPlan&, const std::vector<uint8_t>&,
                  const std::vector<Value>&) {}
@@ -123,12 +121,11 @@ class ScalarGossipPolicy {
     return {change, acc_g != 0.0};
   }
 
-  double Ratio(double num, double g) const {
-    return g != 0.0 ? num / g : sentinel_;
+  static double Ratio(double num, double g) {
+    return g != 0.0 ? num / g : kRatioSentinel;
   }
 
  private:
-  double sentinel_;
   bool use_count_;
 };
 
@@ -161,13 +158,11 @@ class SparseVectorGossipPolicy {
     double scale = 0.0;
   };
   // Sorted sparse estimate: ratio per present column; absent columns are
-  // implicitly at the sentinel (recorded so Distance can evaluate
-  // one-sided columns).
+  // implicitly at kRatioSentinel.
   struct Snapshot {
     std::vector<uint32_t> cols;
     std::vector<double> r;
     std::vector<double> rc;  // parallel to cols when the count channel runs
-    double sentinel = 0.0;
   };
   struct MergeCursor {
     const SparseVectorRow* src;
@@ -182,10 +177,10 @@ class SparseVectorGossipPolicy {
   static Share Split(Value& v, uint32_t k);
   static void Absorb(Value& v, const Share& s);
   static bool HasWeight(const Value& v);
-  static Snapshot TakeSnapshot(const Value& v, double sentinel);
+  static Snapshot TakeSnapshot(const Value& v);
   // Two-pointer union walk; a column present in only one snapshot
-  // contributes |ratio - sentinel| exactly like the synchronous merge's
-  // L1 test.
+  // contributes |ratio - kRatioSentinel| exactly like the synchronous
+  // merge's L1 test.
   static double Distance(const Snapshot& a, const Snapshot& b);
   static double ConvergenceThreshold(uint32_t n, double xi) {
     return static_cast<double>(n) * xi;
@@ -193,7 +188,7 @@ class SparseVectorGossipPolicy {
 
   // `init` is the run's initial state (its nonzeros seed the peak).
   SparseVectorGossipPolicy(const std::vector<SparseVectorRow>& init,
-                           double sentinel, bool use_count);
+                           bool use_count);
 
   // Counts each previous-step row's consumers for the release below.
   void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
@@ -215,7 +210,6 @@ class SparseVectorGossipPolicy {
   uint64_t peak_state_nonzeros() const { return peak_nnz_; }
 
  private:
-  double sentinel_;
   bool use_count_;
   // Live consumer counts of previous-step rows (atomic: under a threaded
   // merge the last consumer may finish on any worker).

@@ -20,22 +20,10 @@ enum class PushStrategy {
   kDifferential,
 };
 
-// Where a synchronous engine's push-phase randomness comes from. Results
-// are independent of num_threads in BOTH modes; the modes differ only in
-// which deterministic draw sequence they produce (and in whether push
-// generation itself can run sharded).
-enum class GossipRngMode {
-  // One shared generator consumed in node order during push generation —
-  // the historical serial draw sequence, bit-for-bit. Push generation is
-  // serial (it is O(sum k_i), cheap next to the merge phase); the merge
-  // phase still parallelises.
-  kSequential,
-  // An independent generator per (node, step) derived with Rng::StreamAt,
-  // so each node's push targets are a pure function of (seed, node, step)
-  // and push generation shards across the pool too. Produces a different
-  // (equally valid) random sequence than kSequential.
-  kCounter,
-};
+// Ratio y/g reported while a node holds no gossip weight (g == 0) for a
+// quantity; the paper uses 10. Eq. (7)'s convergence test compares
+// ratios, so a column that gains its first weight moves by |r - 10|.
+inline constexpr double kRatioSentinel = 10.0;
 
 // A usable convergence tolerance is finite and positive. A NaN xi fails
 // every comparison, so no node could ever converge under it.
@@ -75,24 +63,17 @@ struct GossipOptions {
   uint64_t seed = 1;
 
   // Worker threads for the two-phase parallel step (see ARCHITECTURE.md):
-  // push generation fills per-receiver contribution lists, then every
-  // receiver's merge + convergence test runs sharded with a fixed
+  // serial push generation fills per-receiver contribution lists, then
+  // every receiver's merge + convergence test runs sharded with a fixed
   // per-receiver reduction order. Results are bit-for-bit identical at
   // every thread count (asserted by tests/gossip/parallel_equivalence_
-  // test.cc); 1 (the default) additionally reproduces the historical
-  // serial engines exactly, and 0 means one thread per hardware core.
+  // test.cc) and to the historical serial engines; 0 means one thread
+  // per hardware core.
   uint32_t num_threads = 1;
-
-  // Push-phase randomness scheme; see GossipRngMode. The default
-  // reproduces the historical draw sequence.
-  GossipRngMode rng_mode = GossipRngMode::kSequential;
 
   // Record the per-step ratio of every node (Table 1 traces). Scalar
   // engine only; costs O(N) per step.
   bool track_trace = false;
-
-  // Ratio reported while a node has zero gossip weight (paper uses 10).
-  double ratio_sentinel = 10.0;
 };
 
 // Protocol outcome of a synchronous push-sum run; every engine result and
@@ -124,7 +105,7 @@ struct PushSumStats {
 
 // Outcome of a scalar push-sum run.
 struct GossipResult : PushSumStats {
-  // Final per-node estimate y_i/g_i (sentinel where g_i == 0).
+  // Final per-node estimate y_i/g_i (kRatioSentinel where g_i == 0).
   std::vector<double> ratios;
   std::vector<double> values;   // final y_i
   std::vector<double> weights;  // final g_i

@@ -16,9 +16,8 @@ Result<PotentialTrace> TrackPotential(const Graph& graph,
 
   ThreadPool pool(num_threads);
 
-  // The engines' push generation (default options: serial draws from
-  // `rng`, no loss); isolated nodes are inactive.
-  const GossipOptions options{};
+  // The engines' push generation (serial draws from `rng`, no loss);
+  // isolated nodes are inactive.
   const std::vector<uint32_t> k =
       PushCounts(graph.Adjacency(), strategy, KRounding::kRound);
   std::vector<uint8_t> isolated(n);
@@ -61,8 +60,8 @@ Result<PotentialTrace> TrackPotential(const Graph& graph,
   // order with the kept share at the sender's own slot (step_plan.h).
   StepPlan plan;
   for (uint32_t m = 0; m < steps; ++m) {
-    BuildStepPlan(graph.Adjacency(), options, k, isolated, m + 1, rng, rng,
-                  pool, plan);
+    BuildStepPlan(graph.Adjacency(), k, isolated, /*loss_prob=*/0.0, rng,
+                  plan);
 
     // Phase B: every receiver row accumulates its contributions in
     // ascending-sender order; rows are independent, so they shard. An

@@ -115,8 +115,8 @@ Result<PushSumStats> RunPushSum(const Graph& graph,
     ++step;
 
     // Phase A.
-    BuildStepPlan(graph.Adjacency(), options, push_counts, stopped, step,
-                  rng, rng, pool, plan);
+    BuildStepPlan(graph.Adjacency(), push_counts, stopped,
+                  options.packet_loss_prob, rng, plan);
     stats.gossip_messages += plan.pushes;
     for (NodeId i = 0; i < n; ++i) node_sent[i] += plan.k_used[i];
     policy.BeginStep(plan, stopped, state);

@@ -36,7 +36,7 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
   for (NodeId i = 0; i < n; ++i) {
     state[i] = {y0[i], g0[i], use_count ? c0[i] : 0.0};
   }
-  ScalarGossipPolicy policy(options_.ratio_sentinel, use_count);
+  ScalarGossipPolicy policy(use_count);
   GossipResult res;
   auto record_trace = [&](const std::vector<Value>& s) {
     if (!options_.track_trace) return;

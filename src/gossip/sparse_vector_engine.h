@@ -44,7 +44,7 @@ namespace dgt {
 struct SparseVectorGossipResult : PushSumStats {
   // Per node: sorted columns where gossip weight arrived (g != 0), with
   // the final ratio y/g and count ratio c/g. Columns absent from a row
-  // are at options.ratio_sentinel (no weight reached the node).
+  // are at kRatioSentinel (no weight reached the node).
   struct Row {
     std::vector<uint32_t> cols;
     std::vector<double> estimates;
@@ -56,6 +56,12 @@ struct SparseVectorGossipResult : PushSumStats {
   // working-set size (reported by the large-N benches).
   uint64_t peak_state_nonzeros = 0;
 };
+
+// A state row's estimates: its columns with gossip weight, each with y/g
+// and, when `use_count`, c/g. Every sparse executor's final rows go
+// through here.
+SparseVectorGossipResult::Row EstimateRow(const SparseVectorRow& row,
+                                          bool use_count);
 
 class SparseVectorPushSum {
  public:

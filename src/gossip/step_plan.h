@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "gossip/options.h"
 #include "graph/graph.h"
 
@@ -70,21 +69,19 @@ void DrawTargets(const std::vector<NodeId>& nbrs, uint32_t push_count,
 
 // Draws one step's push targets and loss outcomes for every active node
 // (inactive[i] == 0) over the neighbour lists `neighbors` (one per node)
-// and bins the deliveries per receiver. A push to an inactive target
-// bounces back to its sender. kSequential consumes `shared_rng` in node
-// order (the historical serial sequence); kCounter derives a per-(node,
-// step) generator from `stream_root` via StreamAt and shards the
-// generation across `pool`. Both are thread-count invariant. Per node,
-// the draw order is targets first, then one loss trial per transmitted
-// push (no trials when loss_prob == 0) — the historical serial engines'
-// exact RNG consumption order, which every synchronous engine shares by
-// drawing through this function.
+// and bins the deliveries per receiver. A push to an inactive target, or
+// one lost with probability `loss_prob`, bounces back to its sender.
+// `rng` is consumed serially in node order; per node, the draw order is
+// targets first, then one loss trial per transmitted push (no trials when
+// loss_prob == 0) — the historical serial engines' exact RNG consumption
+// order, which every synchronous engine shares by drawing through this
+// function. Push generation is O(sum k_i), cheap next to the merge that
+// follows, so it stays serial and the plan is independent of any thread
+// count.
 void BuildStepPlan(const std::vector<std::vector<NodeId>>& neighbors,
-                   const GossipOptions& options,
                    const std::vector<uint32_t>& push_counts,
-                   const std::vector<uint8_t>& inactive, uint32_t step,
-                   Rng& shared_rng, const Rng& stream_root, ThreadPool& pool,
-                   StepPlan& plan);
+                   const std::vector<uint8_t>& inactive, double loss_prob,
+                   Rng& rng, StepPlan& plan);
 
 }  // namespace dgt
 

@@ -64,7 +64,6 @@ struct AsyncGossipOptions {
   KRounding k_rounding = KRounding::kRound;
   double xi = 1e-4;
   uint32_t convergence_rounds = 5;
-  double ratio_sentinel = 10.0;
   // Per-message loss probability; lost shares bounce to the sender
   // exactly as in the synchronous engines.
   double packet_loss_prob = 0.0;
@@ -138,7 +137,6 @@ class AsyncEventEngine {
                  (1.0 - options_.period_jitter) * options_.push_period);
 
     const Rng base(options_.seed);
-    const double sentinel = options_.ratio_sentinel;
     const double threshold =
         Policy::ConvergenceThreshold(n, options_.xi);
 
@@ -159,7 +157,7 @@ class AsyncEventEngine {
         graph_->Adjacency(), options_.strategy, options_.k_rounding);
     for (NodeId i = 0; i < n; ++i) {
       node[i].value = std::move(init[i]);
-      node[i].prev = Policy::TakeSnapshot(node[i].value, sentinel);
+      node[i].prev = Policy::TakeSnapshot(node[i].value);
     }
 
     AsyncEngineResult<Policy> res;
@@ -257,8 +255,7 @@ class AsyncEventEngine {
       Rng er = base.StreamAt(i, node[i].rng_counter++);
 
       // Convergence evaluation at the node's own cadence.
-      typename Policy::Snapshot cur =
-          Policy::TakeSnapshot(node[i].value, sentinel);
+      typename Policy::Snapshot cur = Policy::TakeSnapshot(node[i].value);
       bool evidence =
           node[i].received >= 1 && Policy::HasWeight(node[i].value);
       if (!node[i].converged) {

@@ -34,8 +34,7 @@ Result<AsyncGossipResult> AsyncPushSum::Run(const std::vector<double>& y0,
   for (uint32_t i = 0; i < n; ++i) {
     res.values[i] = out.values[i].y;
     res.weights[i] = out.values[i].g;
-    res.ratios[i] = ScalarGossipPolicy::TakeSnapshot(
-        out.values[i], options_.ratio_sentinel);
+    res.ratios[i] = ScalarGossipPolicy::TakeSnapshot(out.values[i]);
   }
   return res;
 }

@@ -95,6 +95,43 @@ Result<std::vector<WeightTable>> BuildAllWeightTables(
   return tables;
 }
 
+// Variant 4's per-observer post-processing, shared by the synchronous and
+// event-driven paths. Observer i's output for target j comes from its
+// gossiped (est, count_est) in rows[i]; yhat_j is yhat_row[j], accumulated
+// sparsely over the rated nodes' opinion rows (the observer's interaction
+// set; everyone else has weight exactly 1): O(sum_i |rated_i| * |row|).
+// Columns without gossip weight stay at 0. Observers are independent, so
+// they shard across their own pool, each writing only its own output row;
+// callers run this only after the engine (and its pool) has finished.
+std::vector<std::vector<double>> GclrObserverEstimates(
+    const TrustMatrix& trust, const std::vector<WeightTable>& tables,
+    const std::vector<SparseVectorGossipResult::Row>& rows,
+    DenominatorMode mode, uint32_t num_threads) {
+  const uint32_t n = trust.num_nodes();
+  const auto sorted_rows = AllSortedRows(trust);
+  std::vector<std::vector<double>> estimates(n, std::vector<double>(n, 0.0));
+  ThreadPool pool(num_threads);
+  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
+    std::vector<double> yhat_row(n);
+    for (size_t idx = begin; idx < end; ++idx) {
+      const NodeId i = static_cast<NodeId>(idx);
+      FillYhatRow(sorted_rows, tables[i], &yhat_row);
+      const double excess_den = tables[i].TotalExcessWeight();
+      const auto& row = rows[i];
+      for (size_t k = 0; k < row.cols.size(); ++k) {
+        const NodeId j = row.cols[k];
+        double count_est = mode == DenominatorMode::kAllNodes
+                               ? static_cast<double>(n)
+                               : row.count_estimates[k];
+        double denominator = excess_den + count_est;
+        if (denominator <= 0.0) continue;
+        estimates[i][j] = (yhat_row[j] + row.estimates[k]) / denominator;
+      }
+    }
+  });
+  return estimates;
+}
+
 }  // namespace
 
 Result<SingleAggregationResult> AggregateGlobalSingle(
@@ -129,16 +166,12 @@ Result<SingleAggregationResult> AggregateGclrSingle(
   const uint32_t n = graph.num_nodes();
   if (j >= n) return Status::OutOfRange("target node out of range");
 
-  const NodeId weight_node = options.designate_target_as_weight_node
-                                 ? j
-                                 : options.designated_weight_node;
-  if (weight_node >= n) {
-    return Status::OutOfRange("designated weight node out of range");
-  }
-
+  // Sum estimation: exactly one node starts with gossip weight 1. The
+  // paper designates "node 1"; the target j itself is the natural
+  // initiator.
   std::vector<double> y0 = trust.DenseColumn(j);
   std::vector<double> g0(n, 0.0);
-  g0[weight_node] = 1.0;
+  g0[j] = 1.0;
   std::vector<double> c0 = trust.OpinionIndicatorColumn(j);
 
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
@@ -240,99 +273,51 @@ std::vector<SparseVectorRow> BuildGclrSparseInit(const TrustMatrix& trust) {
   return init;
 }
 
-Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
+Result<VectorAggregationResult> AggregateGclrVector(
     const Graph& graph, const TrustMatrix& trust,
-    const AsyncAggregationOptions& options) {
+    const AggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
-
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
                        BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
 
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
-  AsyncSparsePushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
-
-  AsyncVectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer post-processing mirrors the synchronous sparse path: yhat
-  // accumulation plus output assembly per observer, sharded across a
-  // pool constructed only after the engine's own pool is gone. The
-  // engine returns raw rows (y/g/c), so the estimate and count ratio are
-  // formed here; columns without gossip weight stay at 0.
-  ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const SparseVectorRow& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        if (row.g[k] == 0.0) continue;  // no gossip weight reached i
-        const NodeId j = row.cols[k];
-        double est = row.y[k] / row.g[k];
-        double count_est = options.denominator == DenominatorMode::kAllNodes
-                               ? static_cast<double>(n)
-                               : row.c[k] / row.g[k];
-        double denominator = excess_den + count_est;
-        if (denominator <= 0.0) continue;
-        out.estimates[i][j] = (yhat_row[j] + est) / denominator;
-      }
-    }
-  });
-  out.stats = run.stats;
+  SparseVectorPushSum engine(&graph, options.gossip);
+  DGT_ASSIGN_OR_RETURN(
+      SparseVectorGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
+  VectorAggregationResult out;
+  out.estimates = GclrObserverEstimates(trust, tables, run.rows,
+                                        options.denominator,
+                                        options.gossip.num_threads);
+  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;
 }
 
-Result<VectorAggregationResult> AggregateGclrVector(
+Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     const Graph& graph, const TrustMatrix& trust,
-    const AggregationOptions& options) {
+    const AsyncAggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
   const uint32_t n = graph.num_nodes();
-
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
                        BuildAllWeightTables(trust, options.weights));
-  const auto sorted_rows = AllSortedRows(trust);
 
-  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
-  SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
-                       engine.Run(std::move(init), /*use_count=*/true));
-  VectorAggregationResult out;
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
-  // Observer post-processing is independent per observer, so it shards
-  // across its own pool; each observer writes only its own output row.
-  // Constructed only after the engine (and its pool) has finished.
-  // Observer i's output for target j comes from the gossiped (est,
-  // count_est); yhat_j is yhat_row[j], accumulated sparsely over the rated
-  // nodes' opinion rows (the observer's interaction set; everyone else
-  // has weight exactly 1): O(sum_i |rated_i| * |row|).
-  ThreadPool pool(options.gossip.num_threads);
-  pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
-    std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
-      const double excess_den = tables[i].TotalExcessWeight();
-      const auto& row = run.rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        double est = row.estimates[k];
-        const NodeId j = row.cols[k];
-        double count_est = options.denominator == DenominatorMode::kAllNodes
-                               ? static_cast<double>(n)
-                               : row.count_estimates[k];
-        double denominator = excess_den + count_est;
-        if (denominator <= 0.0) continue;
-        out.estimates[i][j] = (yhat_row[j] + est) / denominator;
-      }
-    }
-  });
-  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
+  AsyncSparsePushSum engine(&graph, options.gossip);
+  DGT_ASSIGN_OR_RETURN(
+      AsyncSparseGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
+  // The engine returns raw y/g/c rows; form the estimates the way the
+  // synchronous engine does, releasing each raw row once converted.
+  std::vector<SparseVectorGossipResult::Row> rows(n);
+  for (NodeId i = 0; i < n; ++i) {
+    rows[i] = EstimateRow(run.rows[i], /*use_count=*/true);
+    run.rows[i] = SparseVectorRow();
+  }
+  AsyncVectorAggregationResult out;
+  out.estimates = GclrObserverEstimates(trust, tables, rows,
+                                        options.denominator,
+                                        options.gossip.num_threads);
+  out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;

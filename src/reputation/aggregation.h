@@ -41,13 +41,6 @@ struct AggregationOptions {
 
   // Weight parameters used to build every node's weight table (GCLR only).
   WeightParams weights;
-
-  // For the single-target GCLR (Algorithm 2) the sum estimation needs
-  // exactly one node starting with gossip weight 1; the paper designates
-  // "node 1". kTargetNode (default) uses the target j itself, which is the
-  // natural initiator; any fixed id works.
-  bool designate_target_as_weight_node = true;
-  NodeId designated_weight_node = 0;
 };
 
 struct GossipRunStats : PushSumStats {
@@ -79,8 +72,8 @@ Result<SingleAggregationResult> AggregateGlobalSingle(
     const Graph& graph, const TrustMatrix& trust, NodeId j,
     const AggregationOptions& options);
 
-// Algorithm 2: sum-estimation gossip (one-hot weight) plus a count channel
-// and neighbour-feedback weighting; observer I outputs
+// Algorithm 2: sum-estimation gossip (one-hot weight at the target j) plus
+// a count channel and neighbour-feedback weighting; observer I outputs
 //   ( yhat_I + sum_est ) / ( sum_{k in NS_I}(w_Ik - 1) + count_est ).
 Result<SingleAggregationResult> AggregateGclrSingle(
     const Graph& graph, const TrustMatrix& trust, NodeId j,

@@ -33,7 +33,7 @@ class DenseVectorPolicy {
     double scale = 0.0;
   };
   struct Snapshot {
-    std::vector<double> r;   // per-column ratio (sentinel where g == 0)
+    std::vector<double> r;   // per-column ratio (kRatioSentinel if g == 0)
     std::vector<double> rc;  // count ratio; empty when unused
   };
   struct Scratch {};
@@ -56,8 +56,8 @@ class DenseVectorPolicy {
     }
     return false;
   }
-  static Snapshot TakeSnapshot(const Value& v, double sentinel) {
-    return Snapshot{Ratios(v.y, v.g, sentinel), Ratios(v.c, v.g, sentinel)};
+  static Snapshot TakeSnapshot(const Value& v) {
+    return Snapshot{Ratios(v.y, v.g), Ratios(v.c, v.g)};
   }
   static double Distance(const Snapshot& a, const Snapshot& b) {
     double l1 = 0.0;
@@ -71,8 +71,7 @@ class DenseVectorPolicy {
     return static_cast<double>(n) * xi;
   }
 
-  DenseVectorPolicy(double sentinel, bool use_count)
-      : sentinel_(sentinel), use_count_(use_count) {}
+  explicit DenseVectorPolicy(bool use_count) : use_count_(use_count) {}
 
   void BeginStep(const StepPlan&, const std::vector<uint8_t>&,
                  const std::vector<Value>&) {}
@@ -102,26 +101,23 @@ class DenseVectorPolicy {
     MergeOutcome m;
     for (size_t j = 0; j < n; ++j) {
       if (out.g[j] != 0.0) m.has_weight = true;
-      m.change += std::fabs(Ratio(out.y[j], out.g[j], sentinel_) -
-                            Ratio(old.y[j], old.g[j], sentinel_));
+      m.change += std::fabs(Ratio(out.y[j], out.g[j]) -
+                            Ratio(old.y[j], old.g[j]));
       if (use_count_) {
-        m.change += std::fabs(Ratio(out.c[j], out.g[j], sentinel_) -
-                              Ratio(old.c[j], old.g[j], sentinel_));
+        m.change += std::fabs(Ratio(out.c[j], out.g[j]) -
+                              Ratio(old.c[j], old.g[j]));
       }
     }
     return m;
   }
 
-  static double Ratio(double num, double g, double sentinel) {
-    return g != 0.0 ? num / g : sentinel;
+  static double Ratio(double num, double g) {
+    return g != 0.0 ? num / g : kRatioSentinel;
   }
   static std::vector<double> Ratios(const std::vector<double>& num,
-                                    const std::vector<double>& g,
-                                    double sentinel) {
+                                    const std::vector<double>& g) {
     std::vector<double> r(num.size());
-    for (size_t j = 0; j < num.size(); ++j) {
-      r[j] = Ratio(num[j], g[j], sentinel);
-    }
+    for (size_t j = 0; j < num.size(); ++j) r[j] = Ratio(num[j], g[j]);
     return r;
   }
 
@@ -136,7 +132,6 @@ class DenseVectorPolicy {
     for (size_t j = 0; j < v.size(); ++j) acc[j] += v[j] * s;
   }
 
-  double sentinel_;
   bool use_count_;
 };
 
@@ -145,14 +140,12 @@ struct DenseRun {
   PushSumStats stats;
   std::vector<DenseVectorPolicy::Value> state;  // final y/g/c per node
 
-  // estimates[i][j] = y_ij / g_ij (sentinel where g_ij == 0); with
+  // estimates[i][j] = y_ij / g_ij (kRatioSentinel where g_ij == 0); with
   // `count`, c_ij / g_ij instead.
-  std::vector<std::vector<double>> Estimates(double sentinel,
-                                             bool count = false) const {
+  std::vector<std::vector<double>> Estimates(bool count = false) const {
     std::vector<std::vector<double>> out;
     for (const auto& v : state) {
-      out.push_back(DenseVectorPolicy::Ratios(count ? v.c : v.y, v.g,
-                                              sentinel));
+      out.push_back(DenseVectorPolicy::Ratios(count ? v.c : v.y, v.g));
     }
     return out;
   }
@@ -162,7 +155,7 @@ inline Result<DenseRun> RunDense(const Graph& graph,
                                  const GossipOptions& options,
                                  std::vector<DenseVectorPolicy::Value> init,
                                  bool use_count) {
-  DenseVectorPolicy policy(options.ratio_sentinel, use_count);
+  DenseVectorPolicy policy(use_count);
   ThreadPool pool(options.num_threads);
   DenseRun run;
   run.state = std::move(init);
@@ -206,12 +199,13 @@ inline std::vector<SparseVectorRow> SparseFromDense(
   return rows;
 }
 
-// A sparse run's estimates as an N x N matrix, sentinel where no weight
-// arrived; with `count`, the count estimates instead.
+// A sparse run's estimates as an N x N matrix, kRatioSentinel where no
+// weight arrived; with `count`, the count estimates instead.
 inline std::vector<std::vector<double>> Densify(
-    const SparseVectorGossipResult& r, double sentinel, bool count = false) {
+    const SparseVectorGossipResult& r, bool count = false) {
   const size_t n = r.rows.size();
-  std::vector<std::vector<double>> out(n, std::vector<double>(n, sentinel));
+  std::vector<std::vector<double>> out(n,
+                                       std::vector<double>(n, kRatioSentinel));
   for (size_t i = 0; i < n; ++i) {
     const auto& row = r.rows[i];
     const auto& vals = count ? row.count_estimates : row.estimates;

@@ -71,7 +71,6 @@ std::string Summary(uint32_t steps, bool converged, uint64_t gossip,
 struct ScalarCase {
   const char* name;
   PushStrategy strategy;
-  GossipRngMode mode;
   double loss;
   const char* golden;
 };
@@ -84,7 +83,6 @@ std::string RunScalar(const Graph& g, const ScalarCase& c,
   for (uint32_t i = 0; i < n; i += 3) c0[i] = 1.0;
   GossipOptions o;
   o.strategy = c.strategy;
-  o.rng_mode = c.mode;
   o.packet_loss_prob = c.loss;
   o.xi = 1e-6;
   o.seed = 13;
@@ -108,16 +106,10 @@ std::string RunScalar(const Graph& g, const ScalarCase& c,
 
 TEST(EngineGolden, ScalarPushSum) {
   const ScalarCase cases[] = {
-      {"diff_seq_loss20", PushStrategy::kDifferential,
-       GossipRngMode::kSequential, 0.2,
+      {"diff_seq_loss20", PushStrategy::kDifferential, 0.2,
        "steps=127 converged=1 gossip=8921 control=500 peak_nnz=0 "
        "digest=436f8019167e2020"},
-      {"unif_counter_noloss", PushStrategy::kUniform, GossipRngMode::kCounter,
-       0.0,
-       "steps=193 converged=1 gossip=7277 control=250 peak_nnz=0 "
-       "digest=4b31708f64e73f61"},
-      {"unif_seq_noloss", PushStrategy::kUniform, GossipRngMode::kSequential,
-       0.0,
+      {"unif_seq_noloss", PushStrategy::kUniform, 0.0,
        "steps=195 converged=1 gossip=7655 control=250 peak_nnz=0 "
        "digest=7babac5c92e6ba4c"},
   };
@@ -135,8 +127,7 @@ TEST(EngineGolden, ScalarPushSumIsolatedAndStrandedNodes) {
   auto g = Graph::FromEdges(
       9, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {3, 4}, {6, 7}, {7, 8}});
   ASSERT_TRUE(g.ok());
-  const ScalarCase c{"small_components", PushStrategy::kDifferential,
-                     GossipRngMode::kSequential, 0.0,
+  const ScalarCase c{"small_components", PushStrategy::kDifferential, 0.0,
                      "steps=60 converged=1 gossip=449 control=28 peak_nnz=0 "
                      "digest=83701a9acd86f058"};
   EXPECT_EQ(RunScalar(*g, c, 1), c.golden);
@@ -174,7 +165,6 @@ std::vector<SparseVectorRow> SparseInit(uint32_t n, bool use_count) {
 struct SparseCase {
   bool use_count;
   double loss;
-  GossipRngMode mode;
   const char* golden;
 };
 
@@ -182,36 +172,23 @@ TEST(EngineGolden, SparseVectorPushSum) {
   const uint32_t n = 40;
   Graph g = MakePaGraph(n, 2, 61);
   const SparseCase cases[] = {
-      {false, 0.0, GossipRngMode::kSequential,
+      {false, 0.0,
        "steps=112 converged=1 gossip=4787 control=308 peak_nnz=2120 "
        "digest=c087ab6518ab46a3"},
-      {false, 0.0, GossipRngMode::kCounter,
-       "steps=107 converged=1 gossip=4623 control=308 peak_nnz=2120 "
-       "digest=3d013cfde050a0eb"},
-      {false, 0.2, GossipRngMode::kSequential,
+      {false, 0.2,
        "steps=137 converged=1 gossip=6012 control=308 peak_nnz=2040 "
        "digest=767372895cfeda56"},
-      {false, 0.2, GossipRngMode::kCounter,
-       "steps=137 converged=1 gossip=6049 control=308 peak_nnz=2040 "
-       "digest=4a498cc97e6f2395"},
-      {true, 0.0, GossipRngMode::kSequential,
+      {true, 0.0,
        "steps=141 converged=1 gossip=6368 control=308 peak_nnz=2120 "
        "digest=4702ab1b7f6099b3"},
-      {true, 0.0, GossipRngMode::kCounter,
-       "steps=146 converged=1 gossip=6479 control=308 peak_nnz=2120 "
-       "digest=e754438b19ec2147"},
-      {true, 0.2, GossipRngMode::kSequential,
+      {true, 0.2,
        "steps=185 converged=1 gossip=8314 control=308 peak_nnz=2040 "
        "digest=bd5fafcfde9a32a1"},
-      {true, 0.2, GossipRngMode::kCounter,
-       "steps=198 converged=1 gossip=8452 control=308 peak_nnz=2040 "
-       "digest=6ca1c6f64a6d0063"},
   };
   for (const SparseCase& c : cases) {
     for (uint32_t t : {1u, 4u}) {
       GossipOptions o;
       o.packet_loss_prob = c.loss;
-      o.rng_mode = c.mode;
       o.xi = 1e-6;
       o.seed = 7;
       o.num_threads = t;
@@ -229,8 +206,7 @@ TEST(EngineGolden, SparseVectorPushSum) {
       EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
                         r->control_messages, r->peak_state_nonzeros, d),
                 c.golden)
-          << "count=" << c.use_count << " loss=" << c.loss << " counter="
-          << (c.mode == GossipRngMode::kCounter) << " T=" << t;
+          << "count=" << c.use_count << " loss=" << c.loss << " T=" << t;
     }
   }
 }
@@ -240,46 +216,35 @@ TEST(EngineGolden, SparseVectorPushSum) {
 TEST(EngineGolden, ChurnPushSum) {
   const uint32_t n = 48;
   Graph g = MakePaGraph(n, 2, 33);
-  const struct {
-    GossipRngMode mode;
-    const char* golden;
-  } cases[] = {
-      {GossipRngMode::kSequential,
-       "steps=246 converged=1 gossip=8164 control=323 peak_nnz=0 "
-       "digest=8c137b731317c47e"},
-      {GossipRngMode::kCounter,
-       "steps=299 converged=1 gossip=8710 control=323 peak_nnz=0 "
-       "digest=3d4c9015525bb662"},
-  };
-  for (const auto& c : cases) {
-    for (uint32_t t : {1u, 4u}) {
-      GossipOptions o;
-      o.rng_mode = c.mode;
-      o.packet_loss_prob = 0.1;
-      o.xi = 1e-5;
-      o.seed = 13;
-      o.num_threads = t;
-      ChurnOptions churn;
-      churn.leave_prob = 0.02;
-      churn.join_rate = 0.5;
-      churn.churn_steps = 20;
-      churn.seed = 7;
-      ChurnPushSum engine(g, o, churn);
-      auto r = engine.Run(RandomValues(n, 19), std::vector<double>(n, 1.0));
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      Digest d;
-      d.Doubles(r->ratios);
-      d.Word(r->alive.size());
-      for (uint8_t a : r->alive) d.Word(a);
-      d.Word(r->live_count);
-      d.Word(r->departures);
-      d.Word(r->arrivals);
-      d.Double(r->expected_ratio);
-      EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
-                        r->control_messages, 0, d),
-                c.golden)
-          << "counter=" << (c.mode == GossipRngMode::kCounter) << " T=" << t;
-    }
+  const char* golden =
+      "steps=246 converged=1 gossip=8164 control=323 peak_nnz=0 "
+      "digest=8c137b731317c47e";
+  for (uint32_t t : {1u, 4u}) {
+    GossipOptions o;
+    o.packet_loss_prob = 0.1;
+    o.xi = 1e-5;
+    o.seed = 13;
+    o.num_threads = t;
+    ChurnOptions churn;
+    churn.leave_prob = 0.02;
+    churn.join_rate = 0.5;
+    churn.churn_steps = 20;
+    churn.seed = 7;
+    ChurnPushSum engine(g, o, churn);
+    auto r = engine.Run(RandomValues(n, 19), std::vector<double>(n, 1.0));
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    Digest d;
+    d.Doubles(r->ratios);
+    d.Word(r->alive.size());
+    for (uint8_t a : r->alive) d.Word(a);
+    d.Word(r->live_count);
+    d.Word(r->departures);
+    d.Word(r->arrivals);
+    d.Double(r->expected_ratio);
+    EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
+                      r->control_messages, 0, d),
+              golden)
+        << "T=" << t;
   }
 }
 

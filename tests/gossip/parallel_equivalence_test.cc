@@ -1,7 +1,7 @@
 // ParallelSerialEquivalence: the load-bearing guarantee of the threaded
-// execution layer — for every engine, every push strategy, and both RNG
-// modes, a run at T ∈ {2, 4, 8} worker threads is EXPECT_EQ-on-doubles
-// identical to the 1-thread run (which, in kSequential mode, is itself
+// execution layer — for every engine, both push strategies, and with and
+// without packet loss, a run at T ∈ {2, 4, 8} worker threads is
+// EXPECT_EQ-on-doubles identical to the 1-thread run (which is itself
 // bit-for-bit the historical serial engine). Mirrors the sparse/dense
 // equivalence sweep, one dimension up; the dense legs run the test-only
 // dense reference policy through the same executors.
@@ -29,22 +29,20 @@ using testing_util::SparseFromDense;
 
 constexpr uint32_t kThreadCounts[] = {2, 4, 8};
 
-using SweepParam = std::tuple<PushStrategy, GossipRngMode, double>;
+using SweepParam = std::tuple<PushStrategy, double>;
 
 std::string SweepName(const ::testing::TestParamInfo<SweepParam>& info) {
-  auto [strategy, mode, loss] = info.param;
+  auto [strategy, loss] = info.param;
   std::string name =
       strategy == PushStrategy::kDifferential ? "Diff" : "Unif";
-  name += mode == GossipRngMode::kSequential ? "SeqRng" : "CounterRng";
   name += loss == 0.0 ? "NoLoss" : "Loss20";
   return name;
 }
 
 GossipOptions BaseOptions(SweepParam param) {
-  auto [strategy, mode, loss] = param;
+  auto [strategy, loss] = param;
   GossipOptions o;
   o.strategy = strategy;
-  o.rng_mode = mode;
   o.packet_loss_prob = loss;
   o.xi = 1e-6;
   o.seed = 13;
@@ -194,8 +192,6 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombinations, ParallelSerialEquivalence,
     ::testing::Combine(::testing::Values(PushStrategy::kUniform,
                                          PushStrategy::kDifferential),
-                       ::testing::Values(GossipRngMode::kSequential,
-                                         GossipRngMode::kCounter),
                        ::testing::Values(0.0, 0.2)),
     SweepName);
 
@@ -305,37 +301,6 @@ TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
     EXPECT_EQ(sr->stats.max_node_firings, sparse_base->stats.max_node_firings)
         << "T=" << t;
   }
-}
-
-// The two RNG modes are different (equally valid) draw sequences; pin
-// that kCounter actually changes the sequence so a silent fallback to the
-// sequential path cannot masquerade as counter-mode support.
-TEST(RngModeContract, CounterModeIsADistinctSequence) {
-  const uint32_t n = 64;
-  Graph g = MakePaGraph(n, 2, 35);
-  auto y0 = RandomValues(n, 29);
-  std::vector<double> g0(n, 1.0);
-
-  GossipOptions o;
-  o.xi = 1e-6;
-  o.seed = 3;
-  o.rng_mode = GossipRngMode::kSequential;
-  ScalarPushSum seq(&g, o);
-  auto rs = seq.Run(y0, g0);
-  o.rng_mode = GossipRngMode::kCounter;
-  ScalarPushSum ctr(&g, o);
-  auto rc = ctr.Run(y0, g0);
-  ASSERT_TRUE(rs.ok() && rc.ok());
-  // Same aggregate (both converge to the average)…
-  double truth = 0.0;
-  for (double v : y0) truth += v;
-  truth /= n;
-  for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_NEAR(rs->ratios[i], truth, 1e-2);
-    EXPECT_NEAR(rc->ratios[i], truth, 1e-2);
-  }
-  // …through different trajectories.
-  EXPECT_NE(rs->ratios, rc->ratios);
 }
 
 }  // namespace

@@ -193,7 +193,7 @@ TEST(ScalarEngineTest, SentinelReportedWhileWeightZero) {
   EXPECT_FALSE(r->converged);
   int sentinels = 0;
   for (double v : r->ratios) {
-    if (v == o.ratio_sentinel) ++sentinels;
+    if (v == kRatioSentinel) ++sentinels;
   }
   EXPECT_GT(sentinels, 50);
 }

@@ -133,10 +133,9 @@ TEST_P(SparseDenseEquivalence, BitForBitIdenticalToDenseEngine) {
   EXPECT_EQ(rd->stats.control_messages, rs->control_messages);
   EXPECT_EQ(rd->stats.mean_messages_per_active_node_step,
             rs->mean_messages_per_active_node_step);
-  EXPECT_EQ(rd->Estimates(o.ratio_sentinel), Densify(*rs, o.ratio_sentinel));
+  EXPECT_EQ(rd->Estimates(), Densify(*rs));
   if (use_count) {
-    EXPECT_EQ(rd->Estimates(o.ratio_sentinel, /*count=*/true),
-              Densify(*rs, o.ratio_sentinel, /*count=*/true));
+    EXPECT_EQ(rd->Estimates(/*count=*/true), Densify(*rs, /*count=*/true));
   }
 }
 
@@ -176,7 +175,7 @@ TEST(SparseVectorEngineTest, AllColumnsConvergeToColumnAverages) {
   auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r->converged);
-  auto est = Densify(*r, Opts().ratio_sentinel);
+  auto est = Densify(*r);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
       EXPECT_NEAR(est[i][j], truth[j], 5e-3)
@@ -201,12 +200,12 @@ TEST(SparseVectorEngineTest, SentinelForUnreachedWeight) {
   SparseVectorPushSum engine(&*g, o);
   auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
-  auto est = Densify(*r, o.ratio_sentinel);
-  auto cnt = Densify(*r, o.ratio_sentinel, /*count=*/true);
-  EXPECT_EQ(est[2][0], o.ratio_sentinel);
-  EXPECT_EQ(est[3][0], o.ratio_sentinel);
-  EXPECT_EQ(cnt[2][0], o.ratio_sentinel);
-  EXPECT_EQ(cnt[3][0], o.ratio_sentinel);
+  auto est = Densify(*r);
+  auto cnt = Densify(*r, /*count=*/true);
+  EXPECT_EQ(est[2][0], kRatioSentinel);
+  EXPECT_EQ(est[3][0], kRatioSentinel);
+  EXPECT_EQ(cnt[2][0], kRatioSentinel);
+  EXPECT_EQ(cnt[3][0], kRatioSentinel);
   EXPECT_NEAR(est[0][0], 0.8, 1e-6);
   EXPECT_NEAR(est[1][0], 0.8, 1e-6);
 }

@@ -55,7 +55,7 @@ TEST(VectorEngineTest, MatchesScalarEngineLimitPerColumn) {
   SparseVectorPushSum vec(&g, Opts(1e-10));
   auto rv = vec.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(rv.ok());
-  auto est = Densify(*rv, Opts().ratio_sentinel);
+  auto est = Densify(*rv);
 
   // Column 7 via the scalar engine.
   std::vector<double> yc(n), gc(n);
@@ -96,7 +96,7 @@ TEST(VectorEngineTest, CountChannelTracksOpinators) {
   SparseVectorPushSum engine(&g, Opts(1e-10));
   auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
-  auto cnt = Densify(*r, Opts().ratio_sentinel, /*count=*/true);
+  auto cnt = Densify(*r, /*count=*/true);
   for (uint32_t i = 0; i < n; ++i) {
     for (uint32_t j = 0; j < n; ++j) {
       EXPECT_NEAR(cnt[i][j], expected_count[j], 0.5)
@@ -123,7 +123,7 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
   GossipOptions o = Opts(1e-6);
   o.packet_loss_prob = 0.2;  // loss must not destroy mass either
   std::vector<SparseVectorRow> state = SparseFromDense(y0, g0);
-  SparseVectorGossipPolicy policy(state, o.ratio_sentinel, false);
+  SparseVectorGossipPolicy policy(state, /*use_count=*/false);
   ThreadPool pool(1);
   auto r = RunPushSum(
       g, o, PushCounts(g.Adjacency(), o.strategy, o.k_rounding), policy,

@@ -56,7 +56,7 @@ TEST_P(VectorSweep, ColumnsConvergeToColumnLimits) {
   auto r = engine.Run(SparseFromDense(y0, g0), false);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
-  auto est = Densify(*r, Options().ratio_sentinel);
+  auto est = Densify(*r);
   for (uint32_t j = 0; j < kN; ++j) {
     if (col_weight[j] == 0.0) continue;
     double truth = col_sum[j] / col_weight[j];
@@ -87,7 +87,7 @@ TEST_P(VectorSweep, CountChannelConsistentWithWeights) {
   auto r = engine.Run(SparseFromDense(y0, g0, c0), true);
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
-  auto cnt = Densify(*r, Options().ratio_sentinel, /*count=*/true);
+  auto cnt = Densify(*r, /*count=*/true);
   for (uint32_t i = 0; i < kN; ++i) {
     for (uint32_t j = 0; j < kN; ++j) {
       EXPECT_NEAR(cnt[i][j], opinators[j], 0.5)

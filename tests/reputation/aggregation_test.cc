@@ -82,19 +82,6 @@ TEST(AggregateGclrSingleTest, AllNodesDenominatorMode) {
   }
 }
 
-TEST(AggregateGclrSingleTest, WeightNodeSelection) {
-  Graph g = MakePaGraph(40, 2, 56);
-  TrustMatrix t(40);
-  FillTrust(g, &t, 57);
-  AggregationOptions o = Opts(1e-10);
-  o.designate_target_as_weight_node = false;
-  o.designated_weight_node = 39;
-  auto r = AggregateGclrSingle(g, t, 2, o);
-  ASSERT_TRUE(r.ok());
-  o.designated_weight_node = 99;  // out of range
-  EXPECT_FALSE(AggregateGclrSingle(g, t, 2, o).ok());
-}
-
 TEST(AggregateGlobalVectorTest, MatchesPerColumnExact) {
   Graph g = MakePaGraph(50, 2, 58);
   TrustMatrix t(50);
