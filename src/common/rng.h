@@ -75,11 +75,11 @@ class Rng {
 
   // Counter-based stream derivation: an independent generator whose state
   // is a pure function of (this generator's construction seed, stream,
-  // counter) — e.g. StreamAt(node, step). Unlike Fork it does NOT consume
+  // counter) — e.g. StreamAt(node, event). Unlike Fork it does NOT consume
   // state, so streams can be derived concurrently from many workers and
   // the draw sequence of stream (i, s) is identical no matter how many
   // threads run or in which order streams are instantiated. This is what
-  // makes the gossip engines' counter RNG mode thread-count invariant.
+  // makes the event-driven engine's draws thread-count invariant.
   Rng StreamAt(uint64_t stream, uint64_t counter) const;
 
  private:

@@ -1,7 +1,6 @@
 #include "gossip/step_plan.h"
 
 #include <algorithm>
-#include <utility>
 
 namespace dgt {
 

@@ -273,27 +273,6 @@ std::vector<SparseVectorRow> BuildGclrSparseInit(const TrustMatrix& trust) {
   return init;
 }
 
-Result<VectorAggregationResult> AggregateGclrVector(
-    const Graph& graph, const TrustMatrix& trust,
-    const AggregationOptions& options) {
-  DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
-                       BuildAllWeightTables(trust, options.weights));
-
-  SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(
-      SparseVectorGossipResult run,
-      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
-  VectorAggregationResult out;
-  out.estimates = GclrObserverEstimates(trust, tables, run.rows,
-                                        options.denominator,
-                                        options.gossip.num_threads);
-  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
-  // Pre-round feedback vectors: one per edge direction.
-  out.stats.control_messages += graph.DegreeSum();
-  return out;
-}
-
 Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     const Graph& graph, const TrustMatrix& trust,
     const AsyncAggregationOptions& options) {
@@ -318,6 +297,27 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
                                         options.denominator,
                                         options.gossip.num_threads);
   out.stats = run.stats;
+  // Pre-round feedback vectors: one per edge direction.
+  out.stats.control_messages += graph.DegreeSum();
+  return out;
+}
+
+Result<VectorAggregationResult> AggregateGclrVector(
+    const Graph& graph, const TrustMatrix& trust,
+    const AggregationOptions& options) {
+  DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
+  DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
+                       BuildAllWeightTables(trust, options.weights));
+
+  SparseVectorPushSum engine(&graph, options.gossip);
+  DGT_ASSIGN_OR_RETURN(
+      SparseVectorGossipResult run,
+      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
+  VectorAggregationResult out;
+  out.estimates = GclrObserverEstimates(trust, tables, run.rows,
+                                        options.denominator,
+                                        options.gossip.num_threads);
+  out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
   return out;

@@ -226,8 +226,8 @@ TEST(RngTest, StreamAtIsAPureFunctionOfSeedStreamCounter) {
 
 TEST(RngTest, StreamAtDistinctStreamsDiverge) {
   Rng root(42);
-  // Adjacent (stream, counter) pairs — the gossip engines' (node, step)
-  // lattice — must produce unrelated draws.
+  // Adjacent (stream, counter) pairs — the event-driven engine's (node,
+  // event) lattice — must produce unrelated draws.
   Rng s00 = root.StreamAt(0, 0);
   Rng s01 = root.StreamAt(0, 1);
   Rng s10 = root.StreamAt(1, 0);
