@@ -117,10 +117,13 @@ class AsyncEventEngine {
     if (!IsValidXi(options_.xi)) {
       return Status::InvalidArgument("xi must be finite and positive");
     }
-    if (options_.push_period <= 0.0) {
-      return Status::InvalidArgument("push_period must be positive");
+    // A NaN or infinite period or jitter puts NaN event times on the heap,
+    // and the window loop below then reads past an empty window.
+    if (!std::isfinite(options_.push_period) || options_.push_period <= 0.0) {
+      return Status::InvalidArgument("push_period must be finite and positive");
     }
-    if (options_.period_jitter < 0.0 || options_.period_jitter >= 1.0) {
+    if (!IsProbability(options_.period_jitter) ||
+        options_.period_jitter >= 1.0) {
       return Status::InvalidArgument("period_jitter must lie in [0, 1)");
     }
     if (!IsProbability(options_.packet_loss_prob)) {

@@ -49,6 +49,19 @@ TEST(AsyncGossipTest, RejectsBadInput) {
   bad.period_jitter = 1.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
                    .ok());
+  // Regression: a NaN or infinite period or jitter crashed the run.
+  for (double v : {std::nan(""), HUGE_VAL}) {
+    bad = Opts();
+    bad.push_period = v;
+    EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                     .ok())
+        << "push_period=" << v;
+    bad = Opts();
+    bad.period_jitter = v;
+    EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                     .ok())
+        << "period_jitter=" << v;
+  }
   // Regression: a NaN or negative loss probability ran lossless, and one
   // above 1 lost every push until max_time.
   for (double loss : {std::nan(""), -0.5, 1.5}) {
