@@ -60,8 +60,7 @@ Result<PotentialTrace> TrackPotential(const Graph& graph,
   // order with the kept share at the sender's own slot (step_plan.h).
   StepPlan plan;
   for (uint32_t m = 0; m < steps; ++m) {
-    BuildStepPlan(graph.Adjacency(), k, isolated, /*loss_prob=*/0.0, rng,
-                  plan);
+    BuildStepPlan(graph.Adjacency(), k, isolated, /*loss_prob=*/0.0, rng, plan);
 
     // Phase B: every receiver row accumulates its contributions in
     // ascending-sender order; rows are independent, so they shard. An

@@ -281,10 +281,10 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
                        BuildAllWeightTables(trust, options.weights));
 
+  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
   AsyncSparsePushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(
-      AsyncSparseGossipResult run,
-      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
+  DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
+                       engine.Run(std::move(init), /*use_count=*/true));
   // The engine returns raw y/g/c rows; form the estimates the way the
   // synchronous engine does, releasing each raw row once converted.
   std::vector<SparseVectorGossipResult::Row> rows(n);
@@ -293,9 +293,8 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     run.rows[i] = SparseVectorRow();
   }
   AsyncVectorAggregationResult out;
-  out.estimates = GclrObserverEstimates(trust, tables, rows,
-                                        options.denominator,
-                                        options.gossip.num_threads);
+  out.estimates = GclrObserverEstimates(
+      trust, tables, rows, options.denominator, options.gossip.num_threads);
   out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
@@ -309,10 +308,10 @@ Result<VectorAggregationResult> AggregateGclrVector(
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
                        BuildAllWeightTables(trust, options.weights));
 
+  std::vector<SparseVectorRow> init = BuildGclrSparseInit(trust);
   SparseVectorPushSum engine(&graph, options.gossip);
-  DGT_ASSIGN_OR_RETURN(
-      SparseVectorGossipResult run,
-      engine.Run(BuildGclrSparseInit(trust), /*use_count=*/true));
+  DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
+                       engine.Run(std::move(init), /*use_count=*/true));
   VectorAggregationResult out;
   out.estimates = GclrObserverEstimates(trust, tables, run.rows,
                                         options.denominator,

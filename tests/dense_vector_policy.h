@@ -204,8 +204,8 @@ inline std::vector<SparseVectorRow> SparseFromDense(
 inline std::vector<std::vector<double>> Densify(
     const SparseVectorGossipResult& r, bool count = false) {
   const size_t n = r.rows.size();
-  std::vector<std::vector<double>> out(n,
-                                       std::vector<double>(n, kRatioSentinel));
+  std::vector<std::vector<double>> out(
+      n, std::vector<double>(n, kRatioSentinel));
   for (size_t i = 0; i < n; ++i) {
     const auto& row = r.rows[i];
     const auto& vals = count ? row.count_estimates : row.estimates;
