@@ -57,7 +57,8 @@ struct AsyncGossipOptions {
   double push_period = 1.0;
   // Each interval is push_period * U[1 - jitter, 1 + jitter].
   double period_jitter = 0.2;
-  // Hard cap on simulated time; the run reports converged=false at cap.
+  // Hard cap on simulated time, > 0; the run reports converged=false at
+  // cap.
   double max_time = 10000.0;
 
   PushStrategy strategy = PushStrategy::kDifferential;
@@ -105,8 +106,8 @@ class AsyncEventEngine {
   }
 
   // Runs to convergence or options.max_time. `init` holds one value per
-  // node. Option validation (xi, push_period, jitter, loss) is the
-  // caller's concern only insofar as bad values fail here with
+  // node. Option validation (xi, push_period, jitter, loss, max_time) is
+  // the caller's concern only insofar as bad values fail here with
   // InvalidArgument.
   Result<AsyncEngineResult<Policy>> Run(
       std::vector<typename Policy::Value> init) {
@@ -128,6 +129,11 @@ class AsyncEventEngine {
     }
     if (!IsProbability(options_.packet_loss_prob)) {
       return Status::InvalidArgument("packet_loss_prob must lie in [0, 1]");
+    }
+    // A NaN cap fails the final `last_stop_time <= max_time` test, so even
+    // a run that stopped would report converged = false.
+    if (!(options_.max_time > 0.0)) {
+      return Status::InvalidArgument("max_time must be positive");
     }
     DGT_ASSIGN_OR_RETURN(LinkModel links,
                          LinkModel::Create(n, options_.link));

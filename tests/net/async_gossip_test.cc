@@ -49,6 +49,15 @@ TEST(AsyncGossipTest, RejectsBadInput) {
   bad.period_jitter = 1.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
                    .ok());
+  // Regression: a NaN or negative time cap returned OK with
+  // converged = false, even from a run that had stopped.
+  for (double v : {std::nan(""), -1.0}) {
+    bad = Opts();
+    bad.max_time = v;
+    EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                     .ok())
+        << "max_time=" << v;
+  }
   // Regression: a NaN or infinite period or jitter crashed the run.
   for (double v : {std::nan(""), HUGE_VAL}) {
     bad = Opts();
