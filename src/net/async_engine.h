@@ -118,8 +118,9 @@ class AsyncEventEngine {
     if (!IsValidXi(options_.xi)) {
       return Status::InvalidArgument("xi must be finite and positive");
     }
-    // A NaN or infinite period or jitter puts NaN event times on the heap,
-    // and the window loop below then reads past an empty window.
+    // A NaN period puts NaN event times on the heap and leaves the window
+    // loop below with an empty window; a NaN jitter fails the
+    // `period_jitter > 0.0` test below and silently runs without jitter.
     if (!std::isfinite(options_.push_period) || options_.push_period <= 0.0) {
       return Status::InvalidArgument("push_period must be finite and positive");
     }

@@ -58,7 +58,8 @@ TEST(AsyncGossipTest, RejectsBadInput) {
                      .ok())
         << "max_time=" << v;
   }
-  // Regression: a NaN or infinite period or jitter crashed the run.
+  // Regression: a NaN push period crashed the run and a NaN jitter ran
+  // without jitter; infinite values are rejected as well.
   for (double v : {std::nan(""), HUGE_VAL}) {
     bad = Opts();
     bad.push_period = v;
