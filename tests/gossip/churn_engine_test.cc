@@ -35,7 +35,7 @@ TEST(ChurnEngineTest, RejectsBadInput) {
                         std::vector<double>(20, 1.0))
                    .ok());
   // Regression: NaN passed both range checks, and a join rate of
-  // infinity never leaves the per-step join loop.
+  // infinity never left the per-step join loop.
   for (double p : {std::nan(""), HUGE_VAL}) {
     bad = {};
     bad.leave_prob = p;
