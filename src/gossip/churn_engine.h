@@ -5,6 +5,14 @@
 // engine implements the second mechanism literally, plus node arrivals
 // that attach preferentially (the PA process continuing at runtime).
 //
+// It is a membership driver over the shared step loop (PushSumRun in
+// gossip/push_sum.h): between steps it draws departures and arrivals,
+// edits the overlay, and tells the run which nodes retired, which slots
+// were added and when the round restarts. Convergence evidence, the
+// announcements and the stop rule are the loop's; a node's movement is
+// measured from its state at merge time, so a handover heir's first
+// step after the handover compares against the mass it inherited.
+//
 // Invariant (tested): sum of live y equals initial mass plus joined mass
 // — departures never destroy mass; the ratio therefore tracks the
 // time-varying average sum(y)/sum(g) over all mass ever injected.
@@ -22,13 +30,16 @@
 
 namespace dgt {
 
+// Preferential edges a joining node attaches with: the m = 2 of the PA
+// overlays churn runs start from.
+inline constexpr uint32_t kJoinEdges = 2;
+
 struct ChurnOptions {
   // Per-step probability that a live node departs (handover on exit).
   double leave_prob = 0.0;
   // Expected number of joining nodes per step (each joins with
-  // join_edges preferential edges and fresh mass).
+  // kJoinEdges preferential edges and fresh mass).
   double join_rate = 0.0;
-  uint32_t join_edges = 2;
   // Churn is active only for the first `churn_steps` steps, after which
   // the membership freezes and gossip runs to convergence (mirrors the
   // paper's round structure: churn between rounds, convergence within).

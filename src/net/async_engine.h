@@ -62,7 +62,6 @@ struct AsyncGossipOptions {
   double max_time = 10000.0;
 
   PushStrategy strategy = PushStrategy::kDifferential;
-  KRounding k_rounding = KRounding::kRound;
   double xi = 1e-4;
   uint32_t convergence_rounds = 5;
   // Per-message loss probability; lost shares bounce to the sender
@@ -164,7 +163,7 @@ class AsyncEventEngine {
     };
     std::vector<Node> node(n);
     const std::vector<uint32_t> k = PushCounts(
-        graph_->Adjacency(), options_.strategy, options_.k_rounding);
+        graph_->Adjacency(), options_.strategy, KRounding::kRound);
     for (NodeId i = 0; i < n; ++i) {
       node[i].value = std::move(init[i]);
       node[i].prev = Policy::TakeSnapshot(node[i].value);
