@@ -49,7 +49,7 @@ struct GossipOptions {
   // neighbours that happen to exchange shares with each other (and hear
   // from nobody else) keep *exactly* equal ratios and would converge
   // falsely; requiring a short streak makes that coincidence vanishingly
-  // unlikely. Set to 1 for the paper's literal protocol.
+  // unlikely. Set to 1 for the paper's literal protocol; 0 is rejected.
   uint32_t convergence_rounds = 5;
 
   // Probability that a push to a neighbour is lost (churn model). The

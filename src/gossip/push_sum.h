@@ -48,14 +48,18 @@
 
 namespace dgt {
 
-// Fails with InvalidArgument unless options.xi is finite and positive
-// and options.packet_loss_prob lies in [0, 1].
+// Fails with InvalidArgument unless options.xi is finite and positive,
+// options.packet_loss_prob lies in [0, 1] and options.convergence_rounds
+// is at least 1 (at 0 every node would announce at its first evidence).
 inline Status CheckPushSumOptions(const GossipOptions& options) {
   if (!IsValidXi(options.xi)) {
     return Status::InvalidArgument("xi must be finite and positive");
   }
   if (!IsProbability(options.packet_loss_prob)) {
     return Status::InvalidArgument("packet_loss_prob must lie in [0, 1]");
+  }
+  if (options.convergence_rounds == 0) {
+    return Status::InvalidArgument("convergence_rounds must be >= 1");
   }
   return Status::OK();
 }

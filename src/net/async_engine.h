@@ -63,6 +63,7 @@ struct AsyncGossipOptions {
 
   PushStrategy strategy = PushStrategy::kDifferential;
   double xi = 1e-4;
+  // Qualifying firings in a row before a node announces; at least 1.
   uint32_t convergence_rounds = 5;
   // Per-message loss probability; lost shares bounce to the sender
   // exactly as in the synchronous engines.
@@ -105,9 +106,9 @@ class AsyncEventEngine {
   }
 
   // Runs to convergence or options.max_time. `init` holds one value per
-  // node. Option validation (xi, push_period, jitter, loss, max_time) is
-  // the caller's concern only insofar as bad values fail here with
-  // InvalidArgument.
+  // node. Option validation (xi, convergence_rounds, push_period, jitter,
+  // loss, max_time) is the caller's concern only insofar as bad values
+  // fail here with InvalidArgument.
   Result<AsyncEngineResult<Policy>> Run(
       std::vector<typename Policy::Value> init) {
     const uint32_t n = graph_->num_nodes();
@@ -116,6 +117,10 @@ class AsyncEventEngine {
     }
     if (!IsValidXi(options_.xi)) {
       return Status::InvalidArgument("xi must be finite and positive");
+    }
+    // At 0 every node would announce at its first evidence.
+    if (options_.convergence_rounds == 0) {
+      return Status::InvalidArgument("convergence_rounds must be >= 1");
     }
     // A NaN period puts NaN event times on the heap and leaves the window
     // loop below with an empty window; a NaN jitter fails the

@@ -61,6 +61,14 @@ TEST(ChurnEngineTest, RejectsBadInput) {
                      .ok())
         << "loss=" << loss;
   }
+  // Regression: with no streak required every node announced at its
+  // first evidence, and the run reported converged.
+  GossipOptions no_streak = Gossip();
+  no_streak.convergence_rounds = 0;
+  EXPECT_FALSE(ChurnPushSum(g, no_streak, {})
+                   .Run(std::vector<double>(20, 0.5),
+                        std::vector<double>(20, 1.0))
+                   .ok());
 }
 
 TEST(ChurnEngineTest, RejectsNegativeWeightsAndNonFiniteXi) {

@@ -84,6 +84,11 @@ TEST(SparseVectorEngineTest, RejectsBadInput) {
     SparseVectorPushSum bad_engine(&g, bad);
     EXPECT_FALSE(bad_engine.Run(rows, false).ok()) << "loss=" << loss;
   }
+  // Regression: with no streak required every node announced at its
+  // first evidence, and the run reported converged.
+  GossipOptions no_streak = Opts();
+  no_streak.convergence_rounds = 0;
+  EXPECT_FALSE(SparseVectorPushSum(&g, no_streak).Run(rows, false).ok());
 }
 
 // The load-bearing guarantee: for the same options and initial state the

@@ -81,6 +81,12 @@ TEST(AsyncGossipTest, RejectsBadInput) {
                      .ok())
         << "loss=" << loss;
   }
+  // Regression: with no streak required every node announced at its
+  // first evidence, and the run reported converged.
+  bad = Opts();
+  bad.convergence_rounds = 0;
+  EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
+                   .ok());
 }
 
 TEST(AsyncGossipTest, ConvergesToAverage) {
