@@ -93,8 +93,10 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     ++res.departures;
   };
 
+  // Returns false when no node could join: capacity is reached or nobody
+  // is left to attach to.
   auto join = [&]() {
-    if (alive.size() >= churn_.max_nodes) return;
+    if (alive.size() >= churn_.max_nodes) return false;
     // Preferential attachment over the live population.
     std::vector<NodeId> live;
     std::vector<double> weight;
@@ -103,7 +105,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
       live.push_back(v);
       weight.push_back(static_cast<double>(adj[v].size()) + 1.0);
     }
-    if (live.empty()) return;
+    if (live.empty()) return false;
     const NodeId id = static_cast<NodeId>(alive.size());
     alive.push_back(1);
     adj.emplace_back();
@@ -131,7 +133,12 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     // round restarts: every live node resumes gossiping (the paper reruns
     // gossip rounds as membership changes).
     run.Restart();
+    return true;
   };
+
+  // Whole joins per step, then one Bernoulli trial for the fraction.
+  const double whole_joins = std::floor(churn_.join_rate);
+  const double join_fraction = churn_.join_rate - whole_joins;
 
   // Churn is active for the first churn_steps steps; after that the run
   // ends once every node has stopped.
@@ -143,12 +150,12 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
           depart(u);
         }
       }
-      double expect = churn_.join_rate;
-      while (expect >= 1.0) {
-        join();
-        expect -= 1.0;
+      for (double j = 0.0; j < whole_joins; ++j) {
+        if (!join()) break;
       }
-      if (expect > 0.0 && churn_rng.NextBernoulli(expect)) join();
+      if (join_fraction > 0.0 && churn_rng.NextBernoulli(join_fraction)) {
+        join();
+      }
       push_counts = PushCounts(adj, gossip_.strategy, gossip_.k_rounding);
     }
     run.Step();

@@ -212,15 +212,20 @@ TEST(ChurnEngineTest, HeavyChurnStillTerminates) {
 TEST(ChurnEngineTest, CapacityBoundsJoins) {
   Graph g = MakePaGraph(20, 2, 36);
   std::vector<double> y0(20, 0.5), g0(20, 1.0);
-  ChurnOptions churn;
-  churn.join_rate = 5.0;
-  churn.churn_steps = 10;
-  churn.max_nodes = 25;
-  ChurnPushSum engine(g, Gossip(1e-6), churn);
-  auto r = engine.Run(y0, g0);
-  ASSERT_TRUE(r.ok());
-  EXPECT_LE(r->ratios.size(), 25u);
-  EXPECT_EQ(r->arrivals, 5u);
+  // Regression: the join loop subtracted one per join past capacity, and
+  // above 2^53 the subtraction no longer changed the rate, so 1e17 never
+  // left it.
+  for (double rate : {5.0, 1e17}) {
+    ChurnOptions churn;
+    churn.join_rate = rate;
+    churn.churn_steps = 10;
+    churn.max_nodes = 25;
+    ChurnPushSum engine(g, Gossip(1e-6), churn);
+    auto r = engine.Run(y0, g0);
+    ASSERT_TRUE(r.ok());
+    EXPECT_LE(r->ratios.size(), 25u) << "join_rate=" << rate;
+    EXPECT_EQ(r->arrivals, 5u) << "join_rate=" << rate;
+  }
 }
 
 }  // namespace
