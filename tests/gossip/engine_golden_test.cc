@@ -213,38 +213,62 @@ TEST(EngineGolden, SparseVectorPushSum) {
 
 // --- ChurnPushSum -----------------------------------------------------
 
+struct ChurnCase {
+  const char* name;
+  uint32_t n;
+  uint64_t graph_seed;
+  uint64_t value_seed;
+  double xi;
+  uint64_t seed;
+  double leave;
+  double join;
+  uint32_t churn_steps;
+  uint64_t churn_seed;
+  const char* golden;
+};
+
 TEST(EngineGolden, ChurnPushSum) {
-  const uint32_t n = 48;
-  Graph g = MakePaGraph(n, 2, 33);
-  const char* golden =
-      "steps=246 converged=1 gossip=8164 control=323 peak_nnz=0 "
-      "digest=8c137b731317c47e";
-  for (uint32_t t : {1u, 4u}) {
-    GossipOptions o;
-    o.packet_loss_prob = 0.1;
-    o.xi = 1e-5;
-    o.seed = 13;
-    o.num_threads = t;
-    ChurnOptions churn;
-    churn.leave_prob = 0.02;
-    churn.join_rate = 0.5;
-    churn.churn_steps = 20;
-    churn.seed = 7;
-    ChurnPushSum engine(g, o, churn);
-    auto r = engine.Run(RandomValues(n, 19), std::vector<double>(n, 1.0));
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    Digest d;
-    d.Doubles(r->ratios);
-    d.Word(r->alive.size());
-    for (uint8_t a : r->alive) d.Word(a);
-    d.Word(r->live_count);
-    d.Word(r->departures);
-    d.Word(r->arrivals);
-    d.Double(r->expected_ratio);
-    EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
-                      r->control_messages, 0, d),
-              golden)
-        << "T=" << t;
+  const ChurnCase cases[] = {
+      {"join_and_leave", 48, 33, 19, 1e-5, 13, 0.02, 0.5, 20, 7,
+       "steps=246 converged=1 gossip=8164 control=323 peak_nnz=0 "
+       "digest=8c137b731317c47e"},
+      // Departures only, at a rate that makes handover heirs common: pins
+      // the evidence of a heir, which measures its first step after the
+      // handover from the mass it holds at merge time.
+      {"leave_heavy", 120, 102, 2, 1e-4, 2, 0.05, 0.0, 40, 14,
+       "steps=41 converged=1 gossip=1874 control=594 peak_nnz=0 "
+       "digest=c64a9ffc5701b6d5"},
+  };
+  for (const ChurnCase& c : cases) {
+    Graph g = MakePaGraph(c.n, 2, c.graph_seed);
+    for (uint32_t t : {1u, 4u}) {
+      GossipOptions o;
+      o.packet_loss_prob = 0.1;
+      o.xi = c.xi;
+      o.seed = c.seed;
+      o.num_threads = t;
+      ChurnOptions churn;
+      churn.leave_prob = c.leave;
+      churn.join_rate = c.join;
+      churn.churn_steps = c.churn_steps;
+      churn.seed = c.churn_seed;
+      ChurnPushSum engine(g, o, churn);
+      auto r = engine.Run(RandomValues(c.n, c.value_seed),
+                          std::vector<double>(c.n, 1.0));
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      Digest d;
+      d.Doubles(r->ratios);
+      d.Word(r->alive.size());
+      for (uint8_t a : r->alive) d.Word(a);
+      d.Word(r->live_count);
+      d.Word(r->departures);
+      d.Word(r->arrivals);
+      d.Double(r->expected_ratio);
+      EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
+                        r->control_messages, 0, d),
+                c.golden)
+          << c.name << " T=" << t;
+    }
   }
 }
 
