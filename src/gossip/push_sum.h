@@ -109,11 +109,10 @@ class PushSumRun {
     }
   }
 
-  uint32_t num_nodes() const { return static_cast<uint32_t>(stopped_.size()); }
   uint32_t steps() const { return step_; }
   bool stopped(NodeId i) const { return stopped_[i] != 0; }
   bool AllStopped() const {
-    return num_stopped_.load(std::memory_order_relaxed) == num_nodes();
+    return std::find(stopped_.begin(), stopped_.end(), 0) == stopped_.end();
   }
   bool Done() const { return AllStopped() || step_ >= options_.max_steps; }
 
@@ -176,7 +175,6 @@ class PushSumRun {
         if (std::all_of(nbrs.begin(), nbrs.end(),
                         [&](NodeId v) { return converged_[v] != 0; })) {
           stopped_[i] = 1;
-          num_stopped_.fetch_add(1, std::memory_order_relaxed);
         }
       }
     });
@@ -201,8 +199,8 @@ class PushSumRun {
     return stats;
   }
 
-  // Membership changes, made between steps; only the scalar policy keeps
-  // no per-node bookkeeping of its own, so only it is driven with them.
+  // Membership changes, made between steps. Only the scalar policy is
+  // driven with them: the sparse one sizes its per-node bookkeeping once.
   // Before every step a node without neighbours must be stopped, or
   // Phase A would draw its targets from an empty list.
   //
@@ -210,9 +208,7 @@ class PushSumRun {
   // with no neighbours.
   void Retire(NodeId i) {
     converged_[i] = 1;
-    if (stopped_[i]) return;
     stopped_[i] = 1;
-    num_stopped_.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Appends the slots of a node whose value and neighbour list the driver
@@ -235,7 +231,6 @@ class PushSumRun {
                   "only the scalar policy is driven with membership changes");
     for (NodeId i = 0; i < num_nodes(); ++i) {
       if (neighbors_[i].empty()) continue;
-      if (stopped_[i]) num_stopped_.fetch_sub(1, std::memory_order_relaxed);
       converged_[i] = 0;
       stopped_[i] = 0;
       streak_[i] = 0;
@@ -243,6 +238,8 @@ class PushSumRun {
   }
 
  private:
+  uint32_t num_nodes() const { return static_cast<uint32_t>(stopped_.size()); }
+
   void Announce(NodeId i) {
     converged_[i] = 1;
     announce_messages_.fetch_add(neighbors_[i].size(),
@@ -263,7 +260,6 @@ class PushSumRun {
   uint32_t step_ = 0;
   PushSumStats stats_;
   std::atomic<uint64_t> announce_messages_{0};
-  std::atomic<uint32_t> num_stopped_{0};
   // Next-step state, installed after every receiver has merged (Phase B
   // reads other nodes' previous state, so it cannot update in place).
   std::vector<Value> next_;
