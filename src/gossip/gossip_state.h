@@ -2,7 +2,7 @@
 // splits and merges, and the convergence metric. Each executor is written
 // once and instantiated per policy — scalar (paper variants 1/2) and CSR
 // sparse rows (vector variants 3/4):
-//   RunPushSum (gossip/push_sum.h) — synchronous rounds; each receiver
+//   PushSumRun (gossip/push_sum.h) — synchronous rounds; each receiver
 //     folds its whole inbox at once through Merge.
 //   AsyncEventEngine (net/async_engine.h) — event-driven; shares arrive
 //     one at a time through Split/Absorb.

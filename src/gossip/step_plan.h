@@ -1,6 +1,7 @@
 // Phase A of the two-phase deterministic gossip step shared by the
-// synchronous engines (the push-sum executor of gossip/push_sum.h and the
-// churn engine) and the potential tracker.
+// synchronous step loop (PushSumRun in gossip/push_sum.h, which the
+// scalar, sparse vector and churn engines drive) and the potential
+// tracker.
 //
 // A synchronous push-sum step factors cleanly into
 //   (A) push generation — every active node draws its k_i targets and the
