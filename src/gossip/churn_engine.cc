@@ -58,23 +58,19 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
 
   auto depart = [&](NodeId u) {
     // Handover: the leaving node passes its gossip pair to a neighbour
-    // (preferably one still gossiping), or any live node. Neighbour lists
-    // hold live nodes only.
+    // still gossiping, else to any neighbour (neighbour lists hold live
+    // nodes only), else to the first live node.
+    const auto& nbrs = adj[u];
+    const auto gossiping = std::find_if(
+        nbrs.begin(), nbrs.end(), [&](NodeId v) { return !run.stopped(v); });
     NodeId heir = u;
-    for (NodeId v : adj[u]) {
-      if (!run.stopped(v)) {
-        heir = v;
-        break;
-      }
+    if (gossiping != nbrs.end()) {
+      heir = *gossiping;
+    } else if (!nbrs.empty()) {
+      heir = nbrs.front();
     }
-    if (heir == u && !adj[u].empty()) heir = adj[u].front();
-    if (heir == u) {
-      for (NodeId v = 0; v < alive.size(); ++v) {
-        if (v != u && alive[v]) {
-          heir = v;
-          break;
-        }
-      }
+    for (NodeId v = 0; heir == u && v < alive.size(); ++v) {
+      if (v != u && alive[v]) heir = v;
     }
     if (heir != u) {
       ScalarGossipPolicy::Absorb(mass[heir], mass[u]);

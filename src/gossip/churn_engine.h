@@ -5,13 +5,11 @@
 // engine implements the second mechanism literally, plus node arrivals
 // that attach preferentially (the PA process continuing at runtime).
 //
-// It is a membership driver over the shared step loop (PushSumRun in
-// gossip/push_sum.h): between steps it draws departures and arrivals,
-// edits the overlay, and tells the run which nodes retired, which slots
-// were added and when the round restarts. Convergence evidence, the
-// announcements and the stop rule are the loop's; a node's movement is
-// measured from its state at merge time, so a handover heir's first
-// step after the handover compares against the mass it inherited.
+// It has no step loop of its own: it drives PushSumRun (gossip/push_sum.h)
+// over the live overlay and changes membership between steps. Evidence,
+// announcements and the stop rule are the shared loop's, so a handover
+// heir measures its next step from its state at merge time, inherited
+// mass included.
 //
 // Invariant (tested): sum of live y equals initial mass plus joined mass
 // — departures never destroy mass; the ratio therefore tracks the

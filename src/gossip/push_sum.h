@@ -87,12 +87,7 @@ class PushSumRun {
         threshold_(Policy::ConvergenceThreshold(
             static_cast<uint32_t>(neighbors.size()), options.xi)) {
     const uint32_t n = static_cast<uint32_t>(neighbors.size());
-    next_.resize(n);
-    converged_.assign(n, 0);
-    stopped_.assign(n, 0);
-    streak_.assign(n, 0);
-    node_sent_.assign(n, 0);
-    node_active_steps_.assign(n, 0);
+    Resize(n);
     // One-time degree announcements: every node pushes its degree to all
     // neighbours so that k_i can be computed. Under plain push k_i is
     // constant, so no degrees need announcing.
@@ -216,19 +211,12 @@ class PushSumRun {
   void AddNode() {
     static_assert(std::is_same_v<Policy, ScalarGossipPolicy>,
                   "only the scalar policy is driven with membership changes");
-    next_.emplace_back();
-    converged_.push_back(0);
-    stopped_.push_back(0);
-    streak_.push_back(0);
-    node_sent_.push_back(0);
-    node_active_steps_.push_back(0);
+    Resize(num_nodes() + 1);
   }
 
   // Clears converged, stopped and streak on every node that has
   // neighbours, so the round resumes after the averaged quantity changed.
   void Restart() {
-    static_assert(std::is_same_v<Policy, ScalarGossipPolicy>,
-                  "only the scalar policy is driven with membership changes");
     for (NodeId i = 0; i < num_nodes(); ++i) {
       if (neighbors_[i].empty()) continue;
       converged_[i] = 0;
@@ -239,6 +227,16 @@ class PushSumRun {
 
  private:
   uint32_t num_nodes() const { return static_cast<uint32_t>(stopped_.size()); }
+
+  // Sizes every per-node slot; new slots start unconverged and running.
+  void Resize(uint32_t n) {
+    next_.resize(n);
+    converged_.resize(n, 0);
+    stopped_.resize(n, 0);
+    streak_.resize(n, 0);
+    node_sent_.resize(n, 0);
+    node_active_steps_.resize(n, 0);
+  }
 
   void Announce(NodeId i) {
     converged_[i] = 1;
