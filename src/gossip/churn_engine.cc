@@ -126,8 +126,8 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
     res.control_messages += 2ull * m;  // joining handshakes + degree push
     ++res.arrivals;
     // An arrival changes the quantity being averaged (fresh mass), so the
-    // round restarts: every live node resumes gossiping (the paper reruns
-    // gossip rounds as membership changes).
+    // round restarts: every node with neighbours resumes gossiping (the
+    // paper reruns gossip rounds as membership changes).
     run.Restart();
     return true;
   };
