@@ -48,6 +48,11 @@
 
 namespace dgt {
 
+struct NoStepHook {
+  template <typename Value>
+  void operator()(const std::vector<Value>&) const {}
+};
+
 // Fails with InvalidArgument unless options.xi is finite and positive,
 // options.packet_loss_prob lies in [0, 1] and options.convergence_rounds
 // is at least 1 (at 0 every node would announce at its first evidence).
@@ -267,11 +272,6 @@ class PushSumRun {
   // Per-node accounting for the Table 2 metric.
   std::vector<uint64_t> node_sent_;
   std::vector<uint32_t> node_active_steps_;
-};
-
-struct NoStepHook {
-  template <typename Value>
-  void operator()(const std::vector<Value>&) const {}
 };
 
 // Runs `state` (one Value per node, updated in place) over `graph` to
