@@ -71,7 +71,7 @@ inline Status CheckPushSumOptions(const GossipOptions& options) {
 
 // One run's loop state over the neighbour lists `neighbors` (one per
 // node). The overlay, the push counts and the per-node values are read
-// through references, so a driver may change them between steps through
+// through references, so a caller may change them between steps through
 // the membership calls below. `options` must pass CheckPushSumOptions.
 template <typename Policy>
 class PushSumRun {
@@ -211,7 +211,7 @@ class PushSumRun {
     stopped_[i] = 1;
   }
 
-  // Appends the slots of a node whose value and neighbour list the driver
+  // Appends the slots of a node whose value and neighbour list the caller
   // has appended; the push counts must cover it before the next step.
   void AddNode() {
     static_assert(std::is_same_v<Policy, ScalarGossipPolicy>,
