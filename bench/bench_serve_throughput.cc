@@ -204,14 +204,14 @@ int main(int argc, char** argv) {
     const uint64_t steps_total = snap->round_stats.steps;
 
     table.AddRow({std::to_string(n), std::to_string(num_readers),
-                  std::to_string(service.rounds_completed()),
+                  std::to_string(service.epoch()),
                   std::to_string(queries), std::to_string(updates),
                   std::to_string(steps_total), FormatDouble(ms, 1),
                   FormatDouble(qps, 0)});
     json.AddPoint(
         {{"n", static_cast<double>(n)},
          {"readers", static_cast<double>(num_readers)},
-         {"serve_rounds", static_cast<double>(service.rounds_completed())},
+         {"serve_rounds", static_cast<double>(service.epoch())},
          {"point_queries", static_cast<double>(sum.point)},
          {"batch_queries", static_cast<double>(sum.batch)},
          {"topk_queries", static_cast<double>(sum.topk)},

@@ -202,7 +202,7 @@ int main(int argc, char** argv) {
               "across %llu epochs\n",
               static_cast<unsigned long long>(total_queries.load()), secs,
               static_cast<double>(total_queries.load()) / secs,
-              static_cast<unsigned long long>(service.rounds_completed()));
+              static_cast<unsigned long long>(service.epoch()));
   std::printf("trust updates folded at round boundaries: %llu "
               "(rejected: %llu)\n",
               static_cast<unsigned long long>(service.updates_folded()),

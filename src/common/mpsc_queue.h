@@ -5,7 +5,7 @@
 // rejection into its own reply. Consumers take items in one of two ways:
 //
 //   - drain-all at a boundary: the serving layer's trust-update ingest
-//     (src/serve/round_driver.h) empties the queue with one unlimited
+//     (src/serve/service.h) empties the queue with one unlimited
 //     TryPopUpTo per round, so the fold into the TrustMatrix happens at a
 //     round boundary, never mid-round;
 //   - blocking hand-off: the RPC front-end's worker pool

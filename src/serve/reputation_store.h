@@ -5,10 +5,11 @@
 // torn reads across rounds are impossible by construction.
 //
 // Publication is an RCU-style shared_ptr swap: the single writer (the
-// round driver) atomically installs the new snapshot, readers atomically
-// load it and pin it with shared ownership for the duration of the query;
-// the previous round's snapshot is reclaimed when its last reader drops
-// it. Readers never take the writer's lock — there is no writer lock.
+// service's round thread) atomically installs the new snapshot, readers
+// atomically load it and pin it with shared ownership for the duration
+// of the query; the previous round's snapshot is reclaimed when its last
+// reader drops it. Readers never take the writer's lock — there is no
+// writer lock.
 // (C++17's free-function atomic shared_ptr ops are implemented by
 // libstdc++ with a tiny spinlock pool; the per-thread slot sharding below
 // keeps those uncontended, and TSan sees through them.)

@@ -1,6 +1,6 @@
 // ReputationService: the long-lived serving facade the paper's observers
 // would actually talk to. It owns the evolving trust state, a background
-// RoundDriver that turns that state into epoch-numbered reputation
+// round thread that turns that state into epoch-numbered reputation
 // snapshots (one per aggregation round, Delta re-push gating included),
 // and a sharded RCU-style ReputationStore that answers point, batch and
 // top-k queries against the latest snapshot without readers ever taking
@@ -9,6 +9,18 @@
 // always aggregates one coherent matrix and the served scores of epoch e
 // are bit-identical to a batch ReputationSystem run fed the same
 // update sequence (asserted by tests/serve/snapshot_consistency_test.cc).
+//
+// Each pass of the round thread (a) drains the update queue and folds it
+// into the TrustMatrix — the "simulation mutates it in between" contract
+// ReputationSystem was built for — (b) runs one full GCLR aggregation
+// round via ReputationSystem::RunRound(), which applies the paper's Delta
+// re-push gating and runs the gossip on the engines' ThreadPool
+// (GossipOptions::num_threads), (c) publishes the round's scores to the
+// store as an immutable snapshot, and (d) in paced mode waits until every
+// registered reader has acknowledged that epoch before the next round.
+// The round thread is the only mutator of the trust matrix and the only
+// caller into the ReputationSystem while it runs; it stops on the first
+// round error, which driver_status() then reports.
 //
 // Threading contract:
 //   - Query*, Snapshot(), SubmitTrustUpdate and the stats accessors are
@@ -24,22 +36,37 @@
 #ifndef DGT_SERVE_SERVICE_H_
 #define DGT_SERVE_SERVICE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "common/epoch_gate.h"
 #include "common/mpsc_queue.h"
 #include "common/result.h"
+#include "common/thread_annotations.h"
 #include "graph/graph.h"
 #include "obs/metrics.h"
 #include "reputation/reputation_system.h"
 #include "serve/query.h"
 #include "serve/reputation_store.h"
-#include "serve/round_driver.h"
 #include "trust/trust_matrix.h"
 
 namespace dgt {
+
+// One queued direct-trust observation: observer's new t_ij for target.
+// Validated at submit time (see ReputationService::SubmitTrustUpdate).
+// `erase` retracts the opinion instead (value ignored) — "no opinion" is
+// distinct from an explicit 0 throughout the trust model, and identity
+// resets (whitewashing, churn) need to retract rows/columns through the
+// same ingest path as ordinary observations.
+struct TrustUpdate {
+  NodeId observer = 0;
+  NodeId target = 0;
+  double value = 0.0;
+  bool erase = false;
+};
 
 struct ReputationServiceOptions {
   // Round configuration (aggregation variant 4 options, Delta re-push
@@ -48,11 +75,12 @@ struct ReputationServiceOptions {
   // store's read-path sharding; it is clamped to hardware concurrency.
   ReputationSystemOptions system;
 
-  // Rounds to run before the driver finishes; 0 = free-run until Stop().
+  // Rounds to run before the round thread finishes; 0 = free-run until
+  // Stop().
   uint32_t num_rounds = 0;
 
   // Gate every epoch on acknowledgements from registered readers (see
-  // class comment). Free-running mode never blocks the driver.
+  // class comment). Free-running mode never blocks the round thread.
   bool paced = false;
 
   // Read-path shards for the snapshot store; 0 derives it from the
@@ -75,16 +103,16 @@ class ReputationService {
   // taken by value — the service owns its evolution from here on.
   ReputationService(const Graph* graph, TrustMatrix initial_trust,
                     ReputationServiceOptions options);
-  ~ReputationService();  // stops the driver
+  ~ReputationService();  // stops the round thread
 
   ReputationService(const ReputationService&) = delete;
   ReputationService& operator=(const ReputationService&) = delete;
 
-  // Starts the background round driver. FailedPrecondition if the graph
+  // Starts the background round thread. FailedPrecondition if the graph
   // and trust matrix disagree on the node count or already started.
   Status Start();
 
-  // Cancels pacing, stops the driver, joins. Idempotent.
+  // Cancels pacing, stops the round thread, joins. Idempotent.
   void Stop();
 
   // Blocks until the fixed round budget completes (num_rounds > 0). The
@@ -127,13 +155,15 @@ class ReputationService {
 
   // --- observability ---
 
+  // Latest published epoch, which is also the number of rounds completed.
   uint64_t epoch() const { return store_.epoch(); }
-  uint64_t rounds_completed() const { return driver_.rounds_completed(); }
-  uint64_t updates_folded() const { return driver_.updates_folded(); }
+  uint64_t updates_folded() const {
+    return updates_folded_.load(std::memory_order_acquire);
+  }
   uint64_t updates_rejected() const { return update_queue_.rejected(); }
-  bool finished() const { return driver_.finished(); }
-  // First round error, if any (the driver stops on it).
-  Status driver_status() const { return driver_.last_status(); }
+  bool finished() const { return finished_.load(std::memory_order_acquire); }
+  // First round error, if any (the round thread stops on it).
+  Status driver_status() const DGT_EXCLUDES(mu_);
   // Post-clamp gossip worker count actually in use.
   uint32_t worker_threads() const {
     return options_.system.aggregation.gossip.num_threads;
@@ -142,18 +172,50 @@ class ReputationService {
   const Graph& graph() const { return *graph_; }
 
  private:
-  RoundDriverOptions MakeDriverOptions();
+  // The round thread's body: rounds (a)-(d) of the class comment until
+  // the budget is spent, Stop() is called or a round fails.
+  void RoundLoop() DGT_EXCLUDES(mu_);
+  // Drains the update queue into the trust matrix; returns #folded.
+  uint64_t FoldPendingUpdates();
+  // Validates `update` (ids in range, no self-trust, value in [0, 1]
+  // unless it is an erase) and offers it to the queue.
+  Status Enqueue(const TrustUpdate& update);
 
   const Graph* graph_;
   TrustMatrix trust_;
   ReputationServiceOptions options_;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::MetricsRegistry* metrics_;
+  // Deterministic per workload — epochs published and updates folded are
+  // exactly epoch() and updates_folded() — which is what lets the loadgen
+  // hard-gate them end-to-end.
+  obs::Counter* epochs_published_counter_;
+  obs::Counter* updates_folded_counter_;
+  // Wall time of each round-boundary fold (drain + TrustMatrix writes).
+  obs::LatencyHistogram* fold_us_histogram_;
 
   ReputationSystem system_;
   ReputationStore store_;
   EpochGate gate_;
   BoundedWorkQueue<TrustUpdate> update_queue_;
-  RoundDriver driver_;
+
+  std::atomic<bool> stop_requested_{false};
+  std::atomic<bool> finished_{false};
+  std::atomic<uint64_t> updates_folded_{0};
+  // steady_clock microseconds of the most recent snapshot publish; 0
+  // before the first. Feeds the serve_snapshot_age_us callback gauge.
+  std::atomic<int64_t> last_publish_us_{0};
+  std::vector<TrustUpdate> drain_buffer_;  // round thread only
+
+  // Guards only last_status_, which driver_status() reads from any thread.
+  mutable Mutex mu_;
+  Status last_status_ DGT_GUARDED_BY(mu_);
+
+  // Start, Stop and AwaitCompletion run on the owning thread only, so
+  // started_ and thread_ need no lock. The thread is declared after
+  // everything it uses. Raw std::thread is deliberate: the service is the
+  // serving layer's background-thread owner.
+  bool started_ = false;
+  std::thread thread_;  // dgt-lint: raw-thread-ok(the round thread)
 
   // Callback-gauge tokens (queue depth/peak/rejected + snapshot age);
   // registered on Start, removed on Stop before the sampled state dies.

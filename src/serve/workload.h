@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "serve/round_driver.h"
+#include "serve/service.h"
 
 namespace dgt {
 

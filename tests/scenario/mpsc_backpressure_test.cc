@@ -12,7 +12,7 @@
 #include "common/mpsc_queue.h"
 #include "gtest/gtest.h"
 #include "scenario/scenario_runner.h"
-#include "serve/round_driver.h"
+#include "serve/service.h"
 #include "test_util.h"
 
 namespace dgt {

@@ -1,11 +1,12 @@
 // ReputationService end-to-end behaviour: batch equivalence, update
 // folding at round boundaries, query semantics, backpressure, clamping,
-// and clean shutdown. The torn-read/monotonicity stress lives in
+// a failing round, and clean shutdown. The torn-read/monotonicity stress lives in
 // snapshot_consistency_test.cc.
 
 #include "serve/service.h"
 
 #include <chrono>
+#include <limits>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -52,7 +53,7 @@ TEST(ReputationServiceTest, FinalScoresBitIdenticalToBatchRun) {
   auto snap = service.Snapshot();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->epoch, 5u);
-  EXPECT_EQ(service.rounds_completed(), 5u);
+  EXPECT_EQ(service.epoch(), 5u);
   EXPECT_TRUE(service.finished());
   // Same seed schedule, same trust state => bit-identical scores and
   // identical gossip statistics.
@@ -228,10 +229,41 @@ TEST(ReputationServiceTest, StopInterruptsAFreeRunningService) {
   service.Stop();
   EXPECT_TRUE(service.finished());
   EXPECT_TRUE(service.driver_status().ok());
-  const uint64_t settled = service.rounds_completed();
+  const uint64_t settled = service.epoch();
   EXPECT_EQ(service.Snapshot()->epoch, settled);
   // Stop is idempotent and the destructor will stop again harmlessly.
   service.Stop();
+}
+
+TEST(ReputationServiceTest, FailedRoundReleasesReadersAndReportsTheError) {
+  const uint32_t n = 16;
+  Graph g = MakePaGraph(n, 2, 99);
+  TrustMatrix trust(n);
+  FillTrust(g, &trust, 12);
+
+  obs::MetricsRegistry registry;
+  ReputationServiceOptions opts = BaseOptions();
+  opts.num_rounds = 3;
+  opts.paced = true;
+  opts.metrics = &registry;
+  // RunPushSum rejects a NaN xi, so round 1 fails before any publish.
+  opts.system.aggregation.gossip.xi =
+      std::numeric_limits<double>::quiet_NaN();
+  ReputationService service(&g, trust, opts);
+  service.RegisterReader();
+  ASSERT_TRUE(service.Start().ok());
+
+  // The paced reader is released with no epoch instead of blocking.
+  EXPECT_EQ(service.AwaitEpochAfter(0), 0u);
+  service.AwaitCompletion();
+  EXPECT_TRUE(service.finished());
+  EXPECT_EQ(service.driver_status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.epoch(), 0u);
+  EXPECT_EQ(service.Snapshot(), nullptr);
+  EXPECT_EQ(service.QueryPoint(0, 1).status().code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(registry.GetCounter("serve_epochs_published")->Value(), 0u);
+  EXPECT_EQ(service.Start().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(ReputationServiceTest, StartRejectsMismatchedGraphAndTrust) {

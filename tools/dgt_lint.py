@@ -24,7 +24,7 @@ is structurally exposed to (see docs/STATIC_ANALYSIS.md):
   raw-thread   std::thread / std::jthread outside src/common/. Thread
                ownership is concentrated in the annotated common/ layer
                (ThreadPool) plus audited owners that carry an explicit
-               suppression (RoundDriver, RpcServer).
+               suppression (ReputationService, RpcServer).
 
   float-eq     == / != where an operand is a non-zero floating-point
                literal, or both operands are same-file float-declared
