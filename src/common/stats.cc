@@ -1,7 +1,6 @@
 #include "common/stats.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 
 namespace dgt {
@@ -43,58 +42,6 @@ void RunningStats::Merge(const RunningStats& other) {
   max_ = std::max(max_, other.max_);
   sum_ += other.sum_;
   count_ = n;
-}
-
-Summary::Summary(std::vector<double> values) : sorted_(std::move(values)) {
-  std::sort(sorted_.begin(), sorted_.end());
-  RunningStats rs;
-  for (double v : sorted_) rs.Add(v);
-  mean_ = rs.mean();
-  stddev_ = rs.stddev();
-}
-
-double Summary::min() const { return sorted_.empty() ? 0.0 : sorted_.front(); }
-double Summary::max() const { return sorted_.empty() ? 0.0 : sorted_.back(); }
-
-double Summary::Quantile(double q) const {
-  if (sorted_.empty()) return 0.0;
-  q = std::clamp(q, 0.0, 1.0);
-  double pos = q * static_cast<double>(sorted_.size() - 1);
-  size_t lo = static_cast<size_t>(pos);
-  size_t hi = std::min(lo + 1, sorted_.size() - 1);
-  double frac = pos - static_cast<double>(lo);
-  return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-double RmsError(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  assert(!a.empty());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    double d = a[i] - b[i];
-    acc += d * d;
-  }
-  return std::sqrt(acc / static_cast<double>(a.size()));
-}
-
-double MaxAbsError(const std::vector<double>& a, const std::vector<double>& b) {
-  assert(a.size() == b.size());
-  double m = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    m = std::max(m, std::fabs(a[i] - b[i]));
-  }
-  return m;
-}
-
-double MeanRelativeError(const std::vector<double>& a,
-                         const std::vector<double>& b, double eps) {
-  assert(a.size() == b.size());
-  assert(!a.empty());
-  double acc = 0.0;
-  for (size_t i = 0; i < a.size(); ++i) {
-    acc += std::fabs(a[i] - b[i]) / std::max(std::fabs(b[i]), eps);
-  }
-  return acc / static_cast<double>(a.size());
 }
 
 }  // namespace dgt

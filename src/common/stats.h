@@ -1,12 +1,9 @@
-// Small statistics helpers used by experiments and tests: streaming
-// mean/variance (Welford), summaries with percentiles, and RMS error.
+// Streaming mean/variance (Welford) for experiments and benches.
 
 #ifndef DGT_COMMON_STATS_H_
 #define DGT_COMMON_STATS_H_
 
 #include <cstddef>
-#include <cstdint>
-#include <vector>
 
 namespace dgt {
 
@@ -37,37 +34,6 @@ class RunningStats {
   double max_ = 0.0;
   double sum_ = 0.0;
 };
-
-// Batch summary of a sample: sorts a copy, exposes quantiles.
-class Summary {
- public:
-  explicit Summary(std::vector<double> values);
-
-  bool empty() const { return sorted_.empty(); }
-  size_t count() const { return sorted_.size(); }
-  double mean() const { return mean_; }
-  double stddev() const { return stddev_; }
-  double min() const;
-  double max() const;
-  // Linear-interpolated quantile, q in [0, 1].
-  double Quantile(double q) const;
-  double median() const { return Quantile(0.5); }
-
- private:
-  std::vector<double> sorted_;
-  double mean_ = 0.0;
-  double stddev_ = 0.0;
-};
-
-// sqrt(mean((a[i]-b[i])^2)). Preconditions: equal, nonzero sizes.
-double RmsError(const std::vector<double>& a, const std::vector<double>& b);
-
-// max_i |a[i]-b[i]|. Preconditions: equal sizes.
-double MaxAbsError(const std::vector<double>& a, const std::vector<double>& b);
-
-// mean_i |a[i]-b[i]| / max(|b[i]|, eps) — relative L1 error versus b.
-double MeanRelativeError(const std::vector<double>& a,
-                         const std::vector<double>& b, double eps = 1e-12);
 
 }  // namespace dgt
 

@@ -1,6 +1,6 @@
-// Deterministic discrete-event simulation core: a simulated clock and a
-// priority queue of timed callbacks. Ties are broken by insertion order,
-// so runs are exactly reproducible.
+// Deterministic discrete-event simulation core: a priority queue of timed
+// events. Ties are broken by insertion order, so runs are exactly
+// reproducible.
 //
 // The synchronous engines in src/gossip assume the paper's "time is
 // discrete" idealisation; the net/ substrate relaxes it to message-level
@@ -13,9 +13,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <queue>
 #include <utility>
 #include <vector>
 
@@ -25,9 +23,9 @@ namespace dgt {
 // time first, and equal-time items pop in push order via the seq
 // tie-break, independent of heap internals. The parallel async engine
 // depends on this seq both for stability and as the canonical commit
-// order within a lookahead window; unlike EventQueue below it carries a
-// typed payload instead of a callback so batches of events can be
-// extracted, partitioned by owner, and executed across a thread pool.
+// order within a lookahead window. It carries a typed payload instead of a
+// callback so batches of events can be extracted, partitioned by owner,
+// and executed across a thread pool.
 template <typename Payload>
 class TimedEventHeap {
  public:
@@ -86,64 +84,6 @@ class TimedEventHeap {
 
   std::vector<Item> heap_;
   uint64_t next_seq_ = 0;
-};
-
-class EventQueue {
- public:
-  using Callback = std::function<void()>;
-
-  EventQueue() = default;
-  EventQueue(const EventQueue&) = delete;
-  EventQueue& operator=(const EventQueue&) = delete;
-
-  // Current simulated time (starts at 0; advances as events run).
-  double now() const { return now_; }
-
-  uint64_t events_processed() const { return processed_; }
-  uint64_t events_pending() const { return queue_.size(); }
-
-  // Timestamp of the earliest pending event, or +infinity when the queue
-  // is empty — lets callers clamp execution at a horizon (run only events
-  // at or before t) without popping anything.
-  double NextEventTime() const;
-
-  // Schedules `fn` at absolute simulated time `time` (>= now(); earlier
-  // times are clamped to now()). Events at equal times run in the order
-  // they were scheduled.
-  void Schedule(double time, Callback fn);
-
-  // Schedules `fn` `delay` after the current time.
-  void ScheduleAfter(double delay, Callback fn) {
-    Schedule(now_ + delay, std::move(fn));
-  }
-
-  // Runs the earliest event. Returns false if the queue is empty.
-  bool RunNext();
-
-  // Runs events until the queue is empty or the next event would be later
-  // than `t_end`. Returns the number of events run.
-  uint64_t RunUntil(double t_end);
-
-  // Runs everything (use with care: callbacks may keep scheduling).
-  uint64_t RunAll(uint64_t max_events = UINT64_MAX);
-
- private:
-  struct Entry {
-    double time;
-    uint64_t seq;
-    Callback fn;
-  };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const {
-      if (a.time != b.time) return a.time > b.time;
-      return a.seq > b.seq;
-    }
-  };
-
-  std::priority_queue<Entry, std::vector<Entry>, Later> queue_;
-  double now_ = 0.0;
-  uint64_t seq_ = 0;
-  uint64_t processed_ = 0;
 };
 
 }  // namespace dgt

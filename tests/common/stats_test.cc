@@ -1,8 +1,5 @@
 #include "common/stats.h"
 
-#include <cmath>
-#include <vector>
-
 #include "common/rng.h"
 #include "gtest/gtest.h"
 
@@ -76,64 +73,6 @@ TEST(RunningStatsTest, MergeWithEmpty) {
   empty.Merge(a);
   EXPECT_EQ(empty.count(), 2u);
   EXPECT_EQ(empty.mean(), 1.5);
-}
-
-TEST(SummaryTest, Empty) {
-  Summary s({});
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.Quantile(0.5), 0.0);
-}
-
-TEST(SummaryTest, QuantilesOfKnownData) {
-  Summary s({1.0, 2.0, 3.0, 4.0, 5.0});
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(0.25), 2.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(0.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(1.0), 5.0);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-}
-
-TEST(SummaryTest, InterpolatedQuantile) {
-  Summary s({0.0, 10.0});
-  EXPECT_DOUBLE_EQ(s.Quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(0.75), 7.5);
-}
-
-TEST(SummaryTest, QuantileClamped) {
-  Summary s({1.0, 2.0});
-  EXPECT_DOUBLE_EQ(s.Quantile(-1.0), 1.0);
-  EXPECT_DOUBLE_EQ(s.Quantile(2.0), 2.0);
-}
-
-TEST(SummaryTest, UnsortedInputIsSorted) {
-  Summary s({5.0, 1.0, 3.0});
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.median(), 3.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-}
-
-TEST(ErrorMetricsTest, RmsErrorKnown) {
-  EXPECT_DOUBLE_EQ(RmsError({1.0, 2.0}, {1.0, 2.0}), 0.0);
-  EXPECT_DOUBLE_EQ(RmsError({0.0, 0.0}, {3.0, 4.0}),
-                   std::sqrt((9.0 + 16.0) / 2.0));
-}
-
-TEST(ErrorMetricsTest, MaxAbsErrorKnown) {
-  EXPECT_DOUBLE_EQ(MaxAbsError({1.0, 5.0}, {2.0, 1.0}), 4.0);
-  EXPECT_DOUBLE_EQ(MaxAbsError({}, {}), 0.0);
-}
-
-TEST(ErrorMetricsTest, MeanRelativeErrorKnown) {
-  // |1-2|/2 = 0.5, |3-4|/4 = 0.25 -> mean 0.375
-  EXPECT_DOUBLE_EQ(MeanRelativeError({1.0, 3.0}, {2.0, 4.0}), 0.375);
-}
-
-TEST(ErrorMetricsTest, MeanRelativeErrorEpsGuard) {
-  // Reference 0 uses eps floor instead of dividing by zero.
-  double v = MeanRelativeError({1.0}, {0.0}, 0.5);
-  EXPECT_DOUBLE_EQ(v, 2.0);
 }
 
 }  // namespace

@@ -11,175 +11,6 @@
 namespace dgt {
 namespace {
 
-TEST(EventQueueTest, StartsEmptyAtTimeZero) {
-  EventQueue q;
-  EXPECT_DOUBLE_EQ(q.now(), 0.0);
-  EXPECT_EQ(q.events_pending(), 0u);
-  EXPECT_FALSE(q.RunNext());
-}
-
-TEST(EventQueueTest, RunsInTimeOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  q.Schedule(3.0, [&] { order.push_back(3); });
-  q.Schedule(1.0, [&] { order.push_back(1); });
-  q.Schedule(2.0, [&] { order.push_back(2); });
-  q.RunAll();
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueueTest, TiesRunInScheduleOrder) {
-  EventQueue q;
-  std::vector<int> order;
-  for (int i = 0; i < 10; ++i) {
-    q.Schedule(1.0, [&order, i] { order.push_back(i); });
-  }
-  q.RunAll();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(EventQueueTest, ClockAdvancesMonotonically) {
-  EventQueue q;
-  double last = -1.0;
-  for (double t : {5.0, 1.0, 3.0, 2.0, 4.0}) {
-    q.Schedule(t, [&, t] {
-      EXPECT_GT(q.now(), last);
-      EXPECT_DOUBLE_EQ(q.now(), t);
-      last = q.now();
-    });
-  }
-  q.RunAll();
-}
-
-TEST(EventQueueTest, PastTimesClampToNow) {
-  EventQueue q;
-  std::vector<double> times;
-  q.Schedule(2.0, [&] {
-    // Scheduling "in the past" runs at the current time, not before it.
-    q.Schedule(1.0, [&] { times.push_back(q.now()); });
-  });
-  q.RunAll();
-  ASSERT_EQ(times.size(), 1u);
-  EXPECT_DOUBLE_EQ(times[0], 2.0);
-}
-
-TEST(EventQueueTest, ScheduleAfterIsRelative) {
-  EventQueue q;
-  double fired_at = -1.0;
-  q.Schedule(2.0, [&] {
-    q.ScheduleAfter(0.5, [&] { fired_at = q.now(); });
-  });
-  q.RunAll();
-  EXPECT_DOUBLE_EQ(fired_at, 2.5);
-}
-
-// --- RunUntil / RunAll boundary contract -------------------------------
-// The async engine's time-cap handling relies on these exact semantics:
-// an event exactly at t_end is *inside* the horizon, anything later stays
-// pending, and the clock ends up at the boundary either way.
-
-TEST(EventQueueTest, EventExactlyAtBoundaryRuns) {
-  EventQueue q;
-  int ran = 0;
-  q.Schedule(2.0, [&] { ++ran; });
-  q.Schedule(2.0, [&] { ++ran; });  // tie at the boundary runs too
-  q.Schedule(2.0000001, [&] { ++ran; });
-  EXPECT_EQ(q.RunUntil(2.0), 2u);
-  EXPECT_EQ(ran, 2);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.events_pending(), 1u);
-}
-
-TEST(EventQueueTest, CallbackSchedulingPastBoundaryStaysPending) {
-  EventQueue q;
-  int ran = 0;
-  q.Schedule(1.0, [&] {
-    ++ran;
-    // Scheduled from inside the horizon, lands outside it: must stay
-    // pending and must not drag now() past t_end.
-    q.Schedule(3.0, [&] { ++ran; });
-  });
-  EXPECT_EQ(q.RunUntil(2.0), 1u);
-  EXPECT_EQ(ran, 1);
-  EXPECT_DOUBLE_EQ(q.now(), 2.0);
-  EXPECT_EQ(q.events_pending(), 1u);
-  // The horizon does not cancel anything: a later RunAll delivers it.
-  EXPECT_EQ(q.RunAll(), 1u);
-  EXPECT_EQ(ran, 2);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-}
-
-TEST(EventQueueTest, RunUntilOnEmptyQueueAdvancesClock) {
-  EventQueue q;
-  EXPECT_EQ(q.RunUntil(5.0), 0u);
-  EXPECT_DOUBLE_EQ(q.now(), 5.0);
-  // A horizon in the past never rewinds the clock.
-  EXPECT_EQ(q.RunUntil(1.0), 0u);
-  EXPECT_DOUBLE_EQ(q.now(), 5.0);
-}
-
-TEST(EventQueueTest, MaxEventsCutoffLeavesRestPending) {
-  EventQueue q;
-  int ran = 0;
-  for (double t : {1.0, 2.0, 3.0, 4.0, 5.0}) {
-    q.Schedule(t, [&] { ++ran; });
-  }
-  EXPECT_EQ(q.RunAll(3), 3u);
-  EXPECT_EQ(ran, 3);
-  EXPECT_EQ(q.events_processed(), 3u);
-  EXPECT_EQ(q.events_pending(), 2u);
-  EXPECT_DOUBLE_EQ(q.now(), 3.0);
-  EXPECT_EQ(q.RunAll(), 2u);
-  EXPECT_EQ(ran, 5);
-}
-
-TEST(EventQueueTest, NextEventTimePeeksWithoutPopping) {
-  EventQueue q;
-  EXPECT_TRUE(std::isinf(q.NextEventTime()));
-  q.Schedule(3.0, [] {});
-  q.Schedule(1.5, [] {});
-  EXPECT_DOUBLE_EQ(q.NextEventTime(), 1.5);
-  EXPECT_EQ(q.events_pending(), 2u);  // peeking consumed nothing
-  EXPECT_TRUE(q.RunNext());
-  EXPECT_DOUBLE_EQ(q.NextEventTime(), 3.0);
-  EXPECT_TRUE(q.RunNext());
-  EXPECT_TRUE(std::isinf(q.NextEventTime()));
-}
-
-TEST(EventQueueTest, RunUntilStopsAtBoundary) {
-  EventQueue q;
-  int ran = 0;
-  for (double t : {1.0, 2.0, 3.0, 4.0}) {
-    q.Schedule(t, [&] { ++ran; });
-  }
-  EXPECT_EQ(q.RunUntil(2.5), 2u);
-  EXPECT_EQ(ran, 2);
-  EXPECT_DOUBLE_EQ(q.now(), 2.5);  // clock advanced to the boundary
-  EXPECT_EQ(q.events_pending(), 2u);
-}
-
-TEST(EventQueueTest, CascadingEventsCounted) {
-  EventQueue q;
-  int depth = 0;
-  std::function<void()> chain = [&] {
-    if (++depth < 5) q.ScheduleAfter(1.0, chain);
-  };
-  q.Schedule(0.0, chain);
-  EXPECT_EQ(q.RunAll(), 5u);
-  EXPECT_EQ(q.events_processed(), 5u);
-  EXPECT_EQ(depth, 5);
-}
-
-TEST(EventQueueTest, RunAllRespectsCap) {
-  EventQueue q;
-  std::function<void()> forever = [&] { q.ScheduleAfter(1.0, forever); };
-  q.Schedule(0.0, forever);
-  EXPECT_EQ(q.RunAll(100), 100u);
-}
-
-// --- TimedEventHeap ----------------------------------------------------
-
 TEST(TimedEventHeapTest, PopsInTimeOrder) {
   TimedEventHeap<int> h;
   h.Push(3.0, 30);
