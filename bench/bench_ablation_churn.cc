@@ -62,7 +62,10 @@ int main() {
   }
   bench_util::Emit(table, "ablation_churn.csv");
   std::cout << "live membership churn costs extra steps (joins restart the "
-               "round) but the\nhandover rule keeps the mass — and hence "
-               "the computed average — intact.\n";
+               "round). The handover\nrule conserves the mass, but departures "
+               "can split the live overlay: each part\nsettles at its own "
+               "average, and two nodes that hear only from each other for a\n"
+               "few steps can stop early, so the error against the global "
+               "target grows once\nnodes leave.\n";
   return 0;
 }

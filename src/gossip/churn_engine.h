@@ -12,8 +12,13 @@
 // mass included.
 //
 // Invariant (tested): sum of live y equals initial mass plus joined mass
-// — departures never destroy mass; the ratio therefore tracks the
-// time-varying average sum(y)/sum(g) over all mass ever injected.
+// — departures never destroy mass. Conservation does not make every live
+// ratio reach the global average sum(y)/sum(g) over all mass ever
+// injected: departures can split the live overlay, and each connected
+// part then settles at its own sum(y)/sum(g) (an isolated node keeps its
+// own ratio). Within one part, two nodes that hear only from each other
+// for convergence_rounds steps both announce, and one whose only
+// neighbour is the other then stops before the rest of the part settles.
 
 #ifndef DGT_GOSSIP_CHURN_ENGINE_H_
 #define DGT_GOSSIP_CHURN_ENGINE_H_
@@ -58,7 +63,9 @@ struct ChurnGossipResult {
   uint32_t arrivals = 0;
 
   // The conserved target: (initial + joined mass) / (initial + joined
-  // weight). All live ratios converge to it.
+  // weight). Live ratios can reach it only while the live overlay stays
+  // connected; after a split each part settles at its own average (see
+  // the class comment).
   double expected_ratio = 0.0;
 
   uint32_t steps = 0;
