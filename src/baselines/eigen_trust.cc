@@ -26,13 +26,9 @@ Result<EigenTrustResult> ComputeEigenTrust(const TrustMatrix& trust,
   }
 
   // Row-normalized local trust C; rows without opinions fall back to p.
-  // Row sums accumulate over the sorted row so they are a function of the
-  // matrix content, not of the hash map's insertion history. (The power
-  // sweeps below may iterate rows in hash order: next[j] writes are keyed
-  // by the unique column id, so their order cannot change any float.)
   std::vector<double> row_sum(n, 0.0);
   for (NodeId i = 0; i < n; ++i) {
-    for (const auto& [j, t] : trust.SortedRow(i)) row_sum[i] += t;
+    for (const auto& [j, t] : trust.Row(i)) row_sum[i] += t;
   }
 
   EigenTrustResult res;

@@ -20,12 +20,9 @@ Result<PowerTrustResult> ComputePowerTrust(const TrustMatrix& trust,
     return Status::InvalidArgument("damping must lie in [0,1]");
   }
 
-  // Sorted-row accumulation: see eigen_trust.cc — row sums must not
-  // depend on the hash map's insertion history; the keyed next[j] writes
-  // in the sweep are order-independent and may stay on Row(i).
   std::vector<double> row_sum(n, 0.0);
   for (NodeId i = 0; i < n; ++i) {
-    for (const auto& [j, t] : trust.SortedRow(i)) row_sum[i] += t;
+    for (const auto& [j, t] : trust.Row(i)) row_sum[i] += t;
   }
 
   PowerTrustResult res;

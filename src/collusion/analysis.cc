@@ -12,8 +12,6 @@ double WeightedEstimate(const TrustMatrix& gossip_source,
                         const TrustMatrix& direct_source,
                         const WeightTable& weights, NodeId j) {
   const double n = static_cast<double>(gossip_source.num_nodes());
-  // Sorted iteration: summing in hash order would make this float
-  // accumulation depend on the matrix's insertion history.
   double weighted = 0.0;
   for (const auto& [i, w] : weights.SortedEntries()) {
     weighted += (w - 1.0) * direct_source.Get(i, j);

@@ -25,29 +25,16 @@ Status ValidateInputs(const Graph& graph, const TrustMatrix& trust) {
   return Status::OK();
 }
 
-// All trust rows as sorted (column, t) pairs — the deterministic sparse
-// iteration the yhat accumulation uses.
-std::vector<std::vector<std::pair<NodeId, double>>> AllSortedRows(
-    const TrustMatrix& trust) {
-  std::vector<std::vector<std::pair<NodeId, double>>> rows;
-  rows.reserve(trust.num_nodes());
-  for (NodeId i = 0; i < trust.num_nodes(); ++i) {
-    rows.push_back(trust.SortedRow(i));
-  }
-  return rows;
-}
-
 // yhat_row[j] for observer i (see BuildNeighborhoodWeighting), accumulated
 // sparsely over the rated nodes' opinion rows in ascending node order:
 // O(|rated_i| * |row|) per observer.
-void FillYhatRow(
-    const std::vector<std::vector<std::pair<NodeId, double>>>& sorted_rows,
-    const WeightTable& table, std::vector<double>* yhat_row) {
+void FillYhatRow(const TrustMatrix& trust, const WeightTable& table,
+                 std::vector<double>* yhat_row) {
   std::fill(yhat_row->begin(), yhat_row->end(), 0.0);
   for (const auto& [k, w] : table.SortedEntries()) {
     const double excess = w - 1.0;
     if (excess == 0.0) continue;
-    for (const auto& [j, t] : sorted_rows[k]) (*yhat_row)[j] += excess * t;
+    for (const auto& [j, t] : trust.Row(k)) (*yhat_row)[j] += excess * t;
   }
 }
 
@@ -72,8 +59,6 @@ NeighborhoodWeighting BuildNeighborhoodWeighting(
   out.yhat.assign(n, 0.0);
   out.excess_den.assign(n, 0.0);
   for (NodeId i = 0; i < n; ++i) {
-    // Sorted iteration: the numerator is a float accumulation, so hash
-    // order would tie the result to the trust matrix's insertion history.
     double num = 0.0;
     for (const auto& [k, w] : tables[i].SortedEntries()) {
       num += (w - 1.0) * trust.Get(k, j);
@@ -108,14 +93,13 @@ std::vector<std::vector<double>> GclrObserverEstimates(
     const std::vector<SparseVectorGossipResult::Row>& rows,
     DenominatorMode mode, uint32_t num_threads) {
   const uint32_t n = trust.num_nodes();
-  const auto sorted_rows = AllSortedRows(trust);
   std::vector<std::vector<double>> estimates(n, std::vector<double>(n, 0.0));
   ThreadPool pool(num_threads);
   pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
     std::vector<double> yhat_row(n);
     for (size_t idx = begin; idx < end; ++idx) {
       const NodeId i = static_cast<NodeId>(idx);
-      FillYhatRow(sorted_rows, tables[i], &yhat_row);
+      FillYhatRow(trust, tables[i], &yhat_row);
       const double excess_den = tables[i].TotalExcessWeight();
       const auto& row = rows[i];
       for (size_t k = 0; k < row.cols.size(); ++k) {
@@ -212,7 +196,7 @@ Result<VectorAggregationResult> AggregateGlobalVector(
 
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
-    const auto row = trust.SortedRow(i);
+    const auto& row = trust.Row(i);
     init[i].cols.reserve(row.size());
     init[i].y.reserve(row.size());
     init[i].g.reserve(row.size());
@@ -240,7 +224,7 @@ std::vector<SparseVectorRow> BuildGclrSparseInit(const TrustMatrix& trust) {
   const uint32_t n = trust.num_nodes();
   std::vector<SparseVectorRow> init(n);
   for (NodeId i = 0; i < n; ++i) {
-    const auto row = trust.SortedRow(i);
+    const auto& row = trust.Row(i);
     SparseVectorRow& r = init[i];
     r.cols.reserve(row.size() + 1);
     r.y.reserve(row.size() + 1);

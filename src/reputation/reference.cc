@@ -21,8 +21,6 @@ double ExactGclr(const TrustMatrix& trust, const Graph& graph,
   // nodes the owner never interacted with, so only the weight table's
   // entries (the owner's direct-interaction set — the paper's
   // neighbourhood) matter.
-  // Sorted iteration: summing in hash order would make this float
-  // accumulation depend on the matrix's insertion history.
   double excess_num = 0.0;
   for (const auto& [k, w] : weights.SortedEntries()) {
     excess_num += (w - 1.0) * trust.Get(k, j);

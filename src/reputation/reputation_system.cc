@@ -8,9 +8,11 @@ namespace dgt {
 ReputationSystem::ReputationSystem(const Graph* graph,
                                    const TrustMatrix* trust,
                                    ReputationSystemOptions options)
-    : graph_(graph), trust_(trust), options_(options) {
-  assert(graph_ != nullptr && trust_ != nullptr);
-  last_pushed_.resize(trust_->num_nodes());
+    : graph_(graph),
+      trust_(trust),
+      options_(options),
+      last_pushed_(trust->num_nodes()) {
+  assert(graph_ != nullptr);
 }
 
 Status ReputationSystem::RunRound() {
@@ -24,14 +26,15 @@ Status ReputationSystem::RunRound() {
   // forever; drop the stale entry and charge the retraction push.
   last_feedback_pushes_ = 0;
   for (NodeId i = 0; i < n; ++i) {
-    for (auto it = last_pushed_[i].begin(); it != last_pushed_[i].end();) {
-      if (!trust_->HasOpinion(i, it->first)) {
-        ++last_feedback_pushes_;
-        feedback_messages_ += graph_->Degree(i);
-        it = last_pushed_[i].erase(it);
-      } else {
-        ++it;
-      }
+    const auto& announced = last_pushed_.Row(i);
+    // Backwards, so erasing entry k moves none of the entries still to
+    // visit.
+    for (size_t k = announced.size(); k-- > 0;) {
+      const NodeId j = announced[k].first;
+      if (trust_->HasOpinion(i, j)) continue;
+      ++last_feedback_pushes_;
+      feedback_messages_ += graph_->Degree(i);
+      last_pushed_.Erase(i, j);
     }
   }
 
@@ -39,11 +42,11 @@ Status ReputationSystem::RunRound() {
   // such entry costs one message per neighbour of the announcing node.
   for (NodeId i = 0; i < n; ++i) {
     for (const auto& [j, t] : trust_->Row(i)) {
-      auto it = last_pushed_[i].find(j);
-      bool push = it == last_pushed_[i].end() ||
-                  std::fabs(it->second - t) > options_.feedback_push_delta;
+      bool push = !last_pushed_.HasOpinion(i, j) ||
+                  std::fabs(last_pushed_.Get(i, j) - t) >
+                      options_.feedback_push_delta;
       if (push) {
-        last_pushed_[i][j] = t;
+        DGT_RETURN_IF_ERROR(last_pushed_.Set(i, j, t));
         ++last_feedback_pushes_;
         feedback_messages_ += graph_->Degree(i);
       }

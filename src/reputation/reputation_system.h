@@ -8,7 +8,6 @@
 #ifndef DGT_REPUTATION_REPUTATION_SYSTEM_H_
 #define DGT_REPUTATION_REPUTATION_SYSTEM_H_
 
-#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
@@ -65,8 +64,8 @@ class ReputationSystem {
   ReputationSystemOptions options_;
 
   std::vector<std::vector<double>> reputations_;
-  // last_pushed_[i][j]: the feedback value i last announced about j.
-  std::vector<std::unordered_map<NodeId, double>> last_pushed_;
+  // Entry (i, j): the feedback value i last announced about j.
+  TrustMatrix last_pushed_;
   uint32_t rounds_ = 0;
   GossipRunStats last_stats_;
   uint64_t feedback_messages_ = 0;

@@ -287,14 +287,14 @@ Status ScenarioRunner::SubmitReportedDiff(const TrustMatrix& reported) {
   };
   const uint32_t n = graph_->num_nodes();
   for (NodeId i = 0; i < n; ++i) {
-    for (const auto& [j, value] : reported.SortedRow(i)) {
+    for (const auto& [j, value] : reported.Row(i)) {
       if (mirror_.HasOpinion(i, j) && mirror_.Get(i, j) == value) continue;
       if (Status s = service_->SubmitTrustUpdate(i, j, value); !s.ok()) {
         return overflow(s);
       }
       ++report_.trust_updates_submitted;
     }
-    for (const auto& [j, value] : mirror_.SortedRow(i)) {
+    for (const auto& [j, value] : mirror_.Row(i)) {
       (void)value;
       if (reported.HasOpinion(i, j)) continue;
       if (Status s = service_->SubmitTrustErase(i, j); !s.ok()) {

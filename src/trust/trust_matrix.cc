@@ -6,6 +6,20 @@
 
 namespace dgt {
 
+namespace {
+
+bool ColumnBefore(const std::pair<NodeId, double>& entry, NodeId column) {
+  return entry.first < column;
+}
+
+// The first entry of a sorted row whose column is not below j.
+template <typename Row>
+auto LowerBound(Row& row, NodeId j) {
+  return std::lower_bound(row.begin(), row.end(), j, ColumnBefore);
+}
+
+}  // namespace
+
 TrustMatrix::TrustMatrix(uint32_t num_nodes) : rows_(num_nodes) {}
 
 Status TrustMatrix::Set(NodeId i, NodeId j, double value) {
@@ -20,50 +34,51 @@ Status TrustMatrix::Set(NodeId i, NodeId j, double value) {
     return Status::InvalidArgument("trust value must lie in [0,1], got " +
                                    std::to_string(value));
   }
-  rows_[i][j] = value;
+  auto& row = rows_[i];
+  auto it = LowerBound(row, j);
+  if (it != row.end() && it->first == j) {
+    it->second = value;
+  } else {
+    row.emplace(it, j, value);
+  }
   return Status::OK();
 }
 
 void TrustMatrix::Erase(NodeId i, NodeId j) {
-  if (i < num_nodes()) rows_[i].erase(j);
+  if (i >= num_nodes()) return;
+  auto& row = rows_[i];
+  auto it = LowerBound(row, j);
+  if (it != row.end() && it->first == j) row.erase(it);
+}
+
+const double* TrustMatrix::Find(NodeId i, NodeId j) const {
+  if (i >= num_nodes()) return nullptr;
+  const auto& row = rows_[i];
+  auto it = LowerBound(row, j);
+  return it != row.end() && it->first == j ? &it->second : nullptr;
 }
 
 double TrustMatrix::Get(NodeId i, NodeId j) const {
-  if (i >= num_nodes()) return 0.0;
-  auto it = rows_[i].find(j);
-  return it == rows_[i].end() ? 0.0 : it->second;
+  const double* t = Find(i, j);
+  return t == nullptr ? 0.0 : *t;
 }
 
 bool TrustMatrix::HasOpinion(NodeId i, NodeId j) const {
-  if (i >= num_nodes()) return false;
-  return rows_[i].count(j) > 0;
+  return Find(i, j) != nullptr;
 }
 
 uint32_t TrustMatrix::OpinionCountAbout(NodeId j) const {
   uint32_t count = 0;
-  for (const auto& row : rows_) count += row.count(j) > 0 ? 1 : 0;
+  for (NodeId i = 0; i < num_nodes(); ++i) count += HasOpinion(i, j) ? 1 : 0;
   return count;
 }
 
 double TrustMatrix::ColumnSum(NodeId j) const {
   double sum = 0.0;
-  for (const auto& row : rows_) {
-    auto it = row.find(j);
-    if (it != row.end()) sum += it->second;
+  for (NodeId i = 0; i < num_nodes(); ++i) {
+    if (const double* t = Find(i, j)) sum += *t;
   }
   return sum;
-}
-
-std::vector<std::pair<NodeId, double>> TrustMatrix::SortedRow(NodeId i) const {
-  std::vector<std::pair<NodeId, double>> row;
-  if (i >= num_nodes()) return row;
-  row.assign(rows_[i].begin(), rows_[i].end());
-  std::sort(row.begin(), row.end(),
-            [](const std::pair<NodeId, double>& a,
-               const std::pair<NodeId, double>& b) {
-              return a.first < b.first;
-            });
-  return row;
 }
 
 uint64_t TrustMatrix::TotalOpinions() const {
@@ -75,8 +90,7 @@ uint64_t TrustMatrix::TotalOpinions() const {
 std::vector<double> TrustMatrix::DenseColumn(NodeId j) const {
   std::vector<double> col(num_nodes(), 0.0);
   for (NodeId i = 0; i < num_nodes(); ++i) {
-    auto it = rows_[i].find(j);
-    if (it != rows_[i].end()) col[i] = it->second;
+    if (const double* t = Find(i, j)) col[i] = *t;
   }
   return col;
 }
@@ -84,7 +98,7 @@ std::vector<double> TrustMatrix::DenseColumn(NodeId j) const {
 std::vector<double> TrustMatrix::OpinionIndicatorColumn(NodeId j) const {
   std::vector<double> col(num_nodes(), 0.0);
   for (NodeId i = 0; i < num_nodes(); ++i) {
-    if (rows_[i].count(j) > 0) col[i] = 1.0;
+    if (HasOpinion(i, j)) col[i] = 1.0;
   }
   return col;
 }

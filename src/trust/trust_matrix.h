@@ -1,15 +1,17 @@
 // TrustMatrix: the sparse N x N matrix of direct-interaction trust values
 // t_ij in [0, 1] (t_ij = trust of node i in node j). "Generally a node will
 // have very small number of neighbours being directly transacted with", so
-// rows are stored sparsely. A missing entry means "no opinion" and is
-// distinct from an explicit opinion of 0 (the paper's whitewashing default
-// is initial trust 0, and colluders *report* 0 about outsiders).
+// rows are stored sparsely, as (j, t_ij) pairs kept strictly increasing in
+// j: a row's order depends only on its content, so every float sum over a
+// row is a function of what the matrix holds, not of how it was built. A
+// missing entry means "no opinion" and is distinct from an explicit
+// opinion of 0 (the paper's whitewashing default is initial trust 0, and
+// colluders *report* 0 about outsiders).
 
 #ifndef DGT_TRUST_TRUST_MATRIX_H_
 #define DGT_TRUST_TRUST_MATRIX_H_
 
 #include <cstdint>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -43,16 +45,10 @@ class TrustMatrix {
   // Sum over i of t_ij.
   double ColumnSum(NodeId j) const;
 
-  // All (j, t_ij) opinions held by node i.
-  const std::unordered_map<NodeId, double>& Row(NodeId i) const {
+  // All (j, t_ij) opinions held by node i, strictly increasing in j.
+  const std::vector<std::pair<NodeId, double>>& Row(NodeId i) const {
     return rows_[i];
   }
-
-  // Row i's opinions as (column, t_ij) pairs sorted by column — the
-  // deterministic sparse iteration used to seed the sparse gossip engine
-  // and to accumulate weighted sums reproducibly (Row()'s order is
-  // hash-dependent).
-  std::vector<std::pair<NodeId, double>> SortedRow(NodeId i) const;
 
   // Number of opinions node i holds (the nonzeros of row i).
   uint32_t RowNnz(NodeId i) const {
@@ -70,8 +66,11 @@ class TrustMatrix {
   std::vector<double> OpinionIndicatorColumn(NodeId j) const;
 
  private:
-  // rows_[i][j] = t_ij.
-  std::vector<std::unordered_map<NodeId, double>> rows_;
+  // t_ij, or nullptr if i is out of range or holds no opinion about j.
+  const double* Find(NodeId i, NodeId j) const;
+
+  // rows_[i] = i's (j, t_ij) pairs, strictly increasing in j.
+  std::vector<std::vector<std::pair<NodeId, double>>> rows_;
 };
 
 }  // namespace dgt

@@ -1,9 +1,18 @@
 #include "trust/weights.h"
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 
 namespace dgt {
+
+namespace {
+
+bool IdBefore(const std::pair<NodeId, double>& entry, NodeId id) {
+  return entry.first < id;
+}
+
+}  // namespace
 
 Status WeightParams::Validate() const {
   if (!(a >= 1.0)) {
@@ -25,29 +34,21 @@ Result<WeightTable> WeightTable::Build(const TrustMatrix& trust, NodeId owner,
   if (owner >= trust.num_nodes()) {
     return Status::OutOfRange("weight table owner out of range");
   }
-  std::unordered_map<NodeId, double> entries;
-  entries.reserve(trust.RowNnz(owner));
   std::vector<std::pair<NodeId, double>> sorted_entries;
   sorted_entries.reserve(trust.RowNnz(owner));
-  // Ascending-id iteration keeps the excess-weight accumulation (and
-  // therefore every GCLR denominator) a pure function of the matrix
-  // *content*, independent of the hash map's insertion history. The
-  // sorted view is cached so every downstream float accumulation can
-  // iterate it instead of the hash map.
   double total_excess = 0.0;
-  for (const auto& [i, t] : trust.SortedRow(owner)) {
+  for (const auto& [i, t] : trust.Row(owner)) {
     const double w = params.Weight(t);
-    entries.emplace(i, w);
     sorted_entries.emplace_back(i, w);
     total_excess += w - 1.0;
   }
-  return WeightTable(owner, std::move(entries), std::move(sorted_entries),
-                     total_excess);
+  return WeightTable(owner, std::move(sorted_entries), total_excess);
 }
 
 double WeightTable::Weight(NodeId i) const {
-  auto it = entries_.find(i);
-  return it == entries_.end() ? 1.0 : it->second;
+  auto it = std::lower_bound(sorted_entries_.begin(), sorted_entries_.end(), i,
+                             IdBefore);
+  return it != sorted_entries_.end() && it->first == i ? it->second : 1.0;
 }
 
 double WeightTable::ExcessWeightSum(const std::vector<NodeId>& nodes) const {

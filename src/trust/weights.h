@@ -48,39 +48,23 @@ class WeightTable {
   double ExcessWeightSum(const std::vector<NodeId>& nodes) const;
 
   // sum over all stored entries of (w_Ii - 1) — eq. (17)'s
-  // sum_i (w_oi - 1) (strangers contribute 0). Accumulated once at Build
-  // in ascending-id order: summing the hash map in iteration order made
-  // the GCLR denominator depend on the trust matrix's *insertion
-  // history*, so two matrices with identical content could aggregate to
-  // estimates differing in the last ulp.
+  // sum_i (w_oi - 1) (strangers contribute 0), accumulated once at Build.
   double TotalExcessWeight() const { return total_excess_; }
 
-  const std::unordered_map<NodeId, double>& entries() const {
-    return entries_;
-  }
-
-  // The same entries in ascending-id order, cached at Build. Every float
-  // accumulation over a node's weights must iterate THIS (or another
-  // sorted view), never entries(): hash-map iteration order is a
-  // function of insertion history, and summing in it makes results
-  // depend on how the trust matrix was built rather than on what it
-  // contains (the determinism bug class tools/dgt_lint.py exists to
-  // catch; see docs/STATIC_ANALYSIS.md).
+  // The stored (i, w_Ii) pairs, strictly increasing in i.
   const std::vector<std::pair<NodeId, double>>& SortedEntries() const {
     return sorted_entries_;
   }
 
  private:
-  WeightTable(NodeId owner, std::unordered_map<NodeId, double> entries,
+  WeightTable(NodeId owner,
               std::vector<std::pair<NodeId, double>> sorted_entries,
               double total_excess)
       : owner_(owner),
-        entries_(std::move(entries)),
         sorted_entries_(std::move(sorted_entries)),
         total_excess_(total_excess) {}
 
   NodeId owner_;
-  std::unordered_map<NodeId, double> entries_;
   std::vector<std::pair<NodeId, double>> sorted_entries_;  // ascending id
   double total_excess_ = 0.0;
 };

@@ -1,13 +1,12 @@
-// Regression tests for the hash-iteration determinism bug class: any two
-// TrustMatrix instances with identical *content* must produce bit-identical
-// aggregation results, no matter how their unordered_map rows were built
-// (insertion order, churn through inserted-then-erased entries, bucket
-// counts). Float accumulation in hash-iteration order violates this —
-// addition is not associative, and hash order is a function of insertion
-// *history* — which is exactly what tools/dgt_lint.py's hash-order rule
-// flags and what the sorted-iteration fixes in reference.cc,
-// aggregation.cc, collusion/analysis.cc, eigen_trust.cc and power_trust.cc
-// repaired. These tests pin the repairs.
+// Regression tests for the insertion-history determinism bug class: any
+// two TrustMatrix instances with identical *content* must produce
+// bit-identical aggregation results, no matter how they were built
+// (insertion order, churn through inserted-then-erased entries). Float
+// addition is not associative, so a sum over a row is reproducible only
+// if the row has one order. TrustMatrix keeps every row sorted by column,
+// so both builds below must hold equal rows, order included, and every
+// result computed from them (weights, GCLR, EigenTrust, PowerTrust, the
+// collusion analysis) must match bit for bit.
 
 #include <algorithm>
 #include <tuple>
@@ -53,9 +52,7 @@ TrustMatrix BuildForward(const std::vector<std::tuple<NodeId, NodeId, double>>&
 }
 
 // Same content, adversarial history: insert last-to-first, and churn every
-// row through a pile of temporary entries (inserted then erased) so bucket
-// counts and node order inside the unordered_maps diverge from the forward
-// build as much as the container allows.
+// row through a pile of temporary entries (inserted then erased).
 TrustMatrix BuildChurned(const std::vector<std::tuple<NodeId, NodeId, double>>&
                              ops) {
   TrustMatrix t(kNodes);
@@ -78,19 +75,6 @@ TrustMatrix BuildChurned(const std::vector<std::tuple<NodeId, NodeId, double>>&
   return t;
 }
 
-// The raw hash-iteration orders of the two builds must actually differ
-// somewhere, or every test below would pass vacuously even with
-// hash-order accumulation. (Content equality is asserted separately.)
-bool AnyRowOrderDiffers(const TrustMatrix& a, const TrustMatrix& b) {
-  for (NodeId i = 0; i < kNodes; ++i) {
-    std::vector<NodeId> oa, ob;
-    for (const auto& [j, v] : a.Row(i)) oa.push_back(j);
-    for (const auto& [j, v] : b.Row(i)) ob.push_back(j);
-    if (oa != ob) return true;
-  }
-  return false;
-}
-
 struct Fixture {
   Graph graph = MakePaGraph(kNodes, 3, 77);
   std::vector<std::tuple<NodeId, NodeId, double>> ops = Opinions(graph);
@@ -100,11 +84,8 @@ struct Fixture {
 
 TEST(InsertionHistoryTest, HistoriesDivergeButContentMatches) {
   Fixture f;
-  EXPECT_TRUE(AnyRowOrderDiffers(f.forward, f.churned))
-      << "construction histories produced identical hash orders; the "
-         "equivalence tests below would be vacuous";
   for (NodeId i = 0; i < kNodes; ++i) {
-    ASSERT_EQ(f.forward.SortedRow(i), f.churned.SortedRow(i)) << "row " << i;
+    ASSERT_EQ(f.forward.Row(i), f.churned.Row(i)) << "row " << i;
   }
 }
 

@@ -1,5 +1,8 @@
 #include "trust/trust_matrix.h"
 
+#include <utility>
+#include <vector>
+
 #include "gtest/gtest.h"
 
 namespace dgt {
@@ -100,11 +103,44 @@ TEST(TrustMatrixTest, RowAccess) {
   TrustMatrix t(3);
   ASSERT_TRUE(t.Set(0, 1, 0.3).ok());
   ASSERT_TRUE(t.Set(0, 2, 0.8).ok());
-  const auto& row = t.Row(0);
-  EXPECT_EQ(row.size(), 2u);
-  EXPECT_DOUBLE_EQ(row.at(1), 0.3);
-  EXPECT_DOUBLE_EQ(row.at(2), 0.8);
+  const std::vector<std::pair<NodeId, double>> expected = {{1, 0.3}, {2, 0.8}};
+  EXPECT_EQ(t.Row(0), expected);
   EXPECT_EQ(t.TotalOpinions(), 2u);
+}
+
+TEST(TrustMatrixTest, RowsStaySortedWhateverTheOrder) {
+  constexpr uint32_t kNodes = 12;
+  TrustMatrix t(kNodes);
+  // Node 0 rates 1..11 in descending column order, node 1 rates everyone
+  // else in a shuffled order.
+  for (NodeId j = kNodes - 1; j >= 1; --j) {
+    ASSERT_TRUE(t.Set(0, j, 0.05 * j).ok());
+  }
+  for (NodeId j : {7u, 2u, 11u, 0u, 5u, 9u, 3u, 10u, 6u, 4u, 8u}) {
+    ASSERT_TRUE(t.Set(1, j, 0.08 * j).ok());
+  }
+  ASSERT_TRUE(t.Set(0, 5, 0.9).ok());  // overwrite
+  t.Erase(0, 3);                       // present
+  t.Erase(1, 1);                       // absent
+  t.Erase(0, kNodes);                  // column out of range
+  t.Erase(kNodes, 2);                  // row out of range
+
+  std::vector<std::pair<NodeId, double>> expected0, expected1;
+  for (NodeId j = 1; j < kNodes; ++j) {
+    if (j != 3) expected0.emplace_back(j, j == 5 ? 0.9 : 0.05 * j);
+  }
+  for (NodeId j = 0; j < kNodes; ++j) {
+    if (j != 1) expected1.emplace_back(j, 0.08 * j);
+  }
+  for (NodeId i : {0u, 1u}) {
+    const auto& row = t.Row(i);
+    for (size_t k = 1; k < row.size(); ++k) {
+      EXPECT_LT(row[k - 1].first, row[k].first) << "row " << i << " at " << k;
+    }
+  }
+  EXPECT_EQ(t.Row(0), expected0);
+  EXPECT_EQ(t.Row(1), expected1);
+  EXPECT_EQ(t.TotalOpinions(), expected0.size() + expected1.size());
 }
 
 }  // namespace

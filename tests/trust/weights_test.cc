@@ -67,7 +67,29 @@ TEST(WeightTableTest, BuildFromTrustRow) {
   EXPECT_DOUBLE_EQ(w->Weight(2), 2.0);
   EXPECT_DOUBLE_EQ(w->Weight(3), 1.0);  // opinion of 0 -> weight 1
   EXPECT_DOUBLE_EQ(w->Weight(4), 1.0);  // stranger -> weight 1
-  EXPECT_EQ(w->entries().size(), 3u);
+  EXPECT_EQ(w->SortedEntries().size(), 3u);
+}
+
+TEST(WeightTableTest, WeightLookupAtEachSearchEdge) {
+  // Owner 4 rates nodes 2, 5 and 8; every other id weighs 1.
+  TrustMatrix t(10);
+  ASSERT_TRUE(t.Set(4, 8, 0.75).ok());
+  ASSERT_TRUE(t.Set(4, 2, 0.5).ok());
+  ASSERT_TRUE(t.Set(4, 5, 1.0).ok());
+  WeightParams p;
+  p.a = 4.0;
+  p.b = 1.0;
+  auto w = WeightTable::Build(t, 4, p).value();
+  // Present ids, first, middle and last.
+  EXPECT_DOUBLE_EQ(w.Weight(2), 2.0);
+  EXPECT_DOUBLE_EQ(w.Weight(5), 4.0);
+  EXPECT_DOUBLE_EQ(w.Weight(8), std::pow(4.0, 0.75));
+  // Absent ids between two present ones.
+  for (NodeId i : {3u, 4u, 6u, 7u}) EXPECT_DOUBLE_EQ(w.Weight(i), 1.0) << i;
+  // Below the first entry and above the last.
+  for (NodeId i : {0u, 1u, 9u, 10u, 1000u}) {
+    EXPECT_DOUBLE_EQ(w.Weight(i), 1.0) << i;
+  }
 }
 
 TEST(WeightTableTest, RejectsBadParamsAndOwner) {
