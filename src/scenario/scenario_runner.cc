@@ -125,10 +125,6 @@ ScenarioRunner::ScenarioRunner(const Graph* graph, ScenarioSpec spec)
   }
 }
 
-const ScenarioPhase& ScenarioRunner::PhaseOf(uint32_t round) const {
-  return schedule_[phase_of_round_[round]];
-}
-
 uint32_t ScenarioRunner::PhaseIndexOf(uint32_t round) const {
   return phase_of_round_[round];
 }

@@ -99,7 +99,6 @@ class ScenarioRunner {
     bool lost = false;
   };
 
-  const ScenarioPhase& PhaseOf(uint32_t round) const;
   uint32_t PhaseIndexOf(uint32_t round) const;
 
   // Whether colluders are attacking right now: the phase schedules the
