@@ -15,12 +15,18 @@ bool IdBefore(const std::pair<NodeId, double>& entry, NodeId id) {
 }  // namespace
 
 Status WeightParams::Validate() const {
-  if (!(a >= 1.0)) {
-    return Status::InvalidArgument("weight base a must be >= 1, got " +
-                                   std::to_string(a));
+  if (!(std::isfinite(a) && a >= 1.0)) {
+    return Status::InvalidArgument(
+        "weight base a must be finite and >= 1, got " + std::to_string(a));
   }
-  if (!(b >= 0.0)) {
-    return Status::InvalidArgument("weight slope b must be >= 0, got " +
+  if (!(std::isfinite(b) && b >= 0.0)) {
+    return Status::InvalidArgument(
+        "weight slope b must be finite and >= 0, got " + std::to_string(b));
+  }
+  // a^b is the largest weight, reached at t = 1.
+  if (!std::isfinite(Weight(1.0))) {
+    return Status::InvalidArgument("largest weight a^b overflows for a = " +
+                                   std::to_string(a) + ", b = " +
                                    std::to_string(b));
   }
   return Status::OK();

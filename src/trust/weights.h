@@ -22,7 +22,7 @@ struct WeightParams {
   // Exponent slope b_Ij: tuned per neighbour; constant here (paper §4.1.2).
   double b = 1.0;
 
-  // Validates a >= 1, b >= 0.
+  // Validates a finite a >= 1, a finite b >= 0 and a finite a^b.
   Status Validate() const;
 
   // w(t) = a^(b*t). Precondition: Validate().ok() and t in [0,1].

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <utility>
 #include "reputation/aggregation.h"
 
 #include "graph/generators.h"
@@ -180,6 +181,23 @@ TEST(AggregationTest, GclrVectorRejectsNonFiniteXi) {
   AggregationOptions o = Opts();
   o.gossip.xi = std::nan("");
   EXPECT_FALSE(AggregateGclrVector(g, t, o).ok());
+}
+
+TEST(AggregationTest, GclrVectorRejectsOverflowingWeights) {
+  // Regression: these weight parameters passed validation, and the run
+  // returned OK with hundreds of its 1,600 estimates non-finite.
+  Graph g = MakePaGraph(40, 2, 7);
+  TrustMatrix t(40);
+  FillTrust(g, &t, 3);
+  for (auto [a, b] : {std::pair{HUGE_VAL, 1.0}, std::pair{4.0, HUGE_VAL},
+                      std::pair{1e300, 2.0}}) {
+    AggregationOptions o = Opts(1e-6);
+    o.weights.a = a;
+    o.weights.b = b;
+    EXPECT_EQ(AggregateGclrVector(g, t, o).status().code(),
+              StatusCode::kInvalidArgument)
+        << "a=" << a << " b=" << b;
+  }
 }
 
 TEST(AggregationTest, UniformAndDifferentialShareTheLimit) {

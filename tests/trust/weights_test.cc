@@ -15,6 +15,18 @@ TEST(WeightParamsTest, Validation) {
   p.a = 1.0;
   p.b = -0.1;
   EXPECT_FALSE(p.Validate().ok());
+  // Regression: infinite a or b, or a finite pair whose largest weight
+  // a^b (reached at t = 1) overflows, passed and made GCLR scores
+  // non-finite.
+  p.a = HUGE_VAL;
+  p.b = 1.0;
+  EXPECT_FALSE(p.Validate().ok());
+  p.a = 4.0;
+  p.b = HUGE_VAL;
+  EXPECT_FALSE(p.Validate().ok());
+  p.a = 1e300;
+  p.b = 2.0;
+  EXPECT_FALSE(p.Validate().ok());
 }
 
 TEST(WeightParamsTest, WeightFormula) {
