@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -10,6 +11,12 @@ namespace dgt {
 namespace {
 
 constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
+
+// Whether (y, g, c) can start a push-sum run: every channel finite and
+// the gossip weight non-negative.
+bool ValidStart(double y, double g, double c) {
+  return std::isfinite(y) && std::isfinite(g) && std::isfinite(c) && g >= 0.0;
+}
 
 // v + scale * row as a 2-way sorted-column merge (entries that cancel to
 // exact zero on every channel are dropped, keeping rows minimal).
@@ -51,6 +58,25 @@ SparseVectorRow MergeScaled(const SparseVectorRow& v,
 
 }  // namespace
 
+Status ValidateScalarInputs(uint32_t num_nodes, const std::vector<double>& y0,
+                            const std::vector<double>& g0,
+                            const std::vector<double>& c0) {
+  if (y0.size() != num_nodes || g0.size() != num_nodes) {
+    return Status::InvalidArgument("y0/g0 must have num_nodes entries");
+  }
+  if (!c0.empty() && c0.size() != num_nodes) {
+    return Status::InvalidArgument("c0 must be empty or num_nodes entries");
+  }
+  for (uint32_t i = 0; i < num_nodes; ++i) {
+    if (!ValidStart(y0[i], g0[i], c0.empty() ? 0.0 : c0[i])) {
+      return Status::InvalidArgument(
+          "node " + std::to_string(i) +
+          ": values must be finite and gossip weights >= 0");
+    }
+  }
+  return Status::OK();
+}
+
 Status ValidateSparseRows(uint32_t num_nodes,
                           const std::vector<SparseVectorRow>& rows,
                           bool use_count) {
@@ -73,7 +99,9 @@ Status ValidateSparseRows(uint32_t num_nodes,
       if (k > 0 && row.cols[k] <= row.cols[k - 1]) {
         return bad("columns must be strictly increasing");
       }
-      if (row.g[k] < 0.0) return bad("gossip weights must be >= 0");
+      if (!ValidStart(row.y[k], row.g[k], use_count ? row.c[k] : 0.0)) {
+        return bad("values must be finite and gossip weights >= 0");
+      }
     }
   }
   return Status::OK();

@@ -143,9 +143,17 @@ struct SparseVectorRow {
   size_t nnz() const { return cols.size(); }
 };
 
+// Checks an initial state for the scalar executors: y0 and g0 hold
+// num_nodes entries, c0 none (count channel off) or num_nodes, every
+// value is finite and no gossip weight is negative.
+Status ValidateScalarInputs(uint32_t num_nodes, const std::vector<double>& y0,
+                            const std::vector<double>& g0,
+                            const std::vector<double>& c0);
+
 // Checks an initial state for the sparse executors: exactly num_nodes
 // rows; per row, y/g parallel to cols, c parallel iff use_count, cols
-// strictly increasing in [0, num_nodes), and no negative gossip weight.
+// strictly increasing in [0, num_nodes), every value finite and no
+// negative gossip weight.
 Status ValidateSparseRows(uint32_t num_nodes,
                           const std::vector<SparseVectorRow>& rows,
                           bool use_count);

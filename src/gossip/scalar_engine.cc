@@ -20,16 +20,8 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
                                         const std::vector<double>& g0,
                                         const std::vector<double>& c0) {
   const uint32_t n = graph_->num_nodes();
-  if (y0.size() != n || g0.size() != n) {
-    return Status::InvalidArgument("y0/g0 must have num_nodes entries");
-  }
+  DGT_RETURN_IF_ERROR(ValidateScalarInputs(n, y0, g0, c0));
   const bool use_count = !c0.empty();
-  if (use_count && c0.size() != n) {
-    return Status::InvalidArgument("c0 must be empty or num_nodes entries");
-  }
-  for (double g : g0) {
-    if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
-  }
 
   using Value = ScalarGossipPolicy::Value;
   std::vector<Value> state(n);

@@ -36,8 +36,9 @@ class ScalarPushSum {
 
   // Runs to convergence (or options.max_steps). y0/g0 must have
   // num_nodes entries; c0 may be empty (count channel disabled) or
-  // num_nodes entries. Fails with InvalidArgument on size mismatch,
-  // negative g0, or an xi that is not finite and positive.
+  // num_nodes entries. Fails with InvalidArgument on size mismatch, a
+  // non-finite value, negative g0, or an xi that is not finite and
+  // positive.
   Result<GossipResult> Run(const std::vector<double>& y0,
                            const std::vector<double>& g0,
                            const std::vector<double>& c0 = {});

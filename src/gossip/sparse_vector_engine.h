@@ -69,9 +69,9 @@ class SparseVectorPushSum {
 
   // `init` holds one row per node (exactly num_nodes rows), checked by
   // ValidateSparseRows: cols strictly increasing and in [0, num_nodes),
-  // y/g parallel to cols, c parallel exactly when `use_count`, and no
-  // negative gossip weight. Fails with InvalidArgument on any violation
-  // or on an xi that is not finite and positive.
+  // y/g parallel to cols, c parallel exactly when `use_count`, every value
+  // finite and no negative gossip weight. Fails with InvalidArgument on
+  // any violation or on an xi that is not finite and positive.
   Result<SparseVectorGossipResult> Run(std::vector<SparseVectorRow> init,
                                        bool use_count);
 

@@ -14,12 +14,7 @@ AsyncPushSum::AsyncPushSum(const Graph* graph, AsyncGossipOptions options)
 Result<AsyncGossipResult> AsyncPushSum::Run(const std::vector<double>& y0,
                                             const std::vector<double>& g0) {
   const uint32_t n = graph_->num_nodes();
-  if (y0.size() != n || g0.size() != n) {
-    return Status::InvalidArgument("y0/g0 must have num_nodes entries");
-  }
-  for (double g : g0) {
-    if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
-  }
+  DGT_RETURN_IF_ERROR(ValidateScalarInputs(n, y0, g0, {}));
   std::vector<ScalarGossipPolicy::Value> init(n);
   for (uint32_t i = 0; i < n; ++i) init[i] = {y0[i], g0[i], 0.0};
 

@@ -42,7 +42,7 @@ class AsyncPushSum {
   AsyncPushSum(const Graph* graph, AsyncGossipOptions options);
 
   // Runs to convergence or options.max_time. y0/g0 must have num_nodes
-  // entries, g0 non-negative.
+  // finite entries, g0 non-negative.
   Result<AsyncGossipResult> Run(const std::vector<double>& y0,
                                 const std::vector<double>& g0);
 

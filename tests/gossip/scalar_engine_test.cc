@@ -41,6 +41,18 @@ TEST(ScalarEngineTest, RejectsNegativeWeights) {
   std::vector<double> y(20, 1.0), w(20, 1.0);
   w[3] = -0.5;
   EXPECT_FALSE(engine.Run(y, w).ok());
+  // Regression: a NaN weight or value ran to the max_steps cap and
+  // returned OK with NaN ratios, and an infinite weight reported
+  // convergence with every ratio 0. Every y, g and c must be finite.
+  const std::vector<double> ones(20, 1.0);
+  EXPECT_TRUE(engine.Run(ones, ones, ones).ok());
+  for (double bad : {std::nan(""), HUGE_VAL}) {
+    std::vector<double> v(20, 0.5);
+    v[5] = bad;
+    EXPECT_FALSE(engine.Run(ones, v).ok()) << "g=" << bad;
+    EXPECT_FALSE(engine.Run(v, ones).ok()) << "y=" << bad;
+    EXPECT_FALSE(engine.Run(ones, ones, v).ok()) << "c=" << bad;
+  }
 }
 
 TEST(ScalarEngineTest, RejectsNonPositiveXi) {

@@ -65,6 +65,22 @@ TEST(SparseVectorEngineTest, RejectsBadInput) {
   // Negative gossip weight (the event-driven engine already refused it).
   rows[3].g = {1.0, -1.0};
   EXPECT_FALSE(engine.Run(rows, false).ok());
+  // Regression: a NaN gossip weight was accepted and the run went to the
+  // step cap. Every y, g and c must be finite.
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity()}) {
+    std::vector<SparseVectorRow> v = rows;
+    v[3].g = {1.0, bad};
+    EXPECT_FALSE(engine.Run(v, false).ok()) << "g=" << bad;
+    v[3].g = {1.0, 1.0};
+    v[3].y = {bad, 0.2};
+    EXPECT_FALSE(engine.Run(v, false).ok()) << "y=" << bad;
+    v[3].y = {0.1, 0.2};
+    for (SparseVectorRow& row : v) row.c.assign(row.cols.size(), 1.0);
+    ASSERT_TRUE(engine.Run(v, true).ok());
+    v[3].c = {bad, 1.0};
+    EXPECT_FALSE(engine.Run(v, true).ok()) << "c=" << bad;
+  }
   // xi must be finite and positive.
   for (double xi : {0.0, -1e-3, std::numeric_limits<double>::quiet_NaN(),
                     std::numeric_limits<double>::infinity()}) {

@@ -29,6 +29,14 @@ TEST(AsyncGossipTest, RejectsBadInput) {
   std::vector<double> y(20, 1.0), w(20, 1.0);
   w[0] = -1.0;
   EXPECT_FALSE(engine.Run(y, w).ok());
+  // Regression: a NaN weight returned OK with every ratio NaN. Every y
+  // and g must be finite.
+  for (double bad : {std::nan(""), HUGE_VAL}) {
+    std::vector<double> v(20, 0.5);
+    v[5] = bad;
+    EXPECT_FALSE(engine.Run(y, v).ok()) << "g=" << bad;
+    EXPECT_FALSE(engine.Run(v, y).ok()) << "y=" << bad;
+  }
   AsyncGossipOptions bad = Opts();
   bad.xi = 0.0;
   EXPECT_FALSE(AsyncPushSum(&g, bad).Run(y, std::vector<double>(20, 1.0))
