@@ -20,6 +20,12 @@ auto LowerBound(Row& row, NodeId j) {
 
 }  // namespace
 
+const std::pair<NodeId, double>* FindEntry(
+    const std::vector<std::pair<NodeId, double>>& entries, NodeId j) {
+  auto it = LowerBound(entries, j);
+  return it != entries.end() && it->first == j ? &*it : nullptr;
+}
+
 TrustMatrix::TrustMatrix(uint32_t num_nodes) : rows_(num_nodes) {}
 
 Status TrustMatrix::Set(NodeId i, NodeId j, double value) {
@@ -53,9 +59,8 @@ void TrustMatrix::Erase(NodeId i, NodeId j) {
 
 const double* TrustMatrix::Find(NodeId i, NodeId j) const {
   if (i >= num_nodes()) return nullptr;
-  const auto& row = rows_[i];
-  auto it = LowerBound(row, j);
-  return it != row.end() && it->first == j ? &it->second : nullptr;
+  const std::pair<NodeId, double>* entry = FindEntry(rows_[i], j);
+  return entry == nullptr ? nullptr : &entry->second;
 }
 
 double TrustMatrix::Get(NodeId i, NodeId j) const {

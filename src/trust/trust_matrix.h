@@ -21,6 +21,11 @@
 
 namespace dgt {
 
+// The entry with id j in `entries`, whose ids are strictly increasing (a
+// TrustMatrix row or a WeightTable's entries), or nullptr if none has it.
+const std::pair<NodeId, double>* FindEntry(
+    const std::vector<std::pair<NodeId, double>>& entries, NodeId j);
+
 class TrustMatrix {
  public:
   explicit TrustMatrix(uint32_t num_nodes);

@@ -1,18 +1,9 @@
 #include "trust/weights.h"
 
-#include <algorithm>
 #include <cmath>
 #include <string>
 
 namespace dgt {
-
-namespace {
-
-bool IdBefore(const std::pair<NodeId, double>& entry, NodeId id) {
-  return entry.first < id;
-}
-
-}  // namespace
 
 Status WeightParams::Validate() const {
   if (!(std::isfinite(a) && a >= 1.0)) {
@@ -52,9 +43,8 @@ Result<WeightTable> WeightTable::Build(const TrustMatrix& trust, NodeId owner,
 }
 
 double WeightTable::Weight(NodeId i) const {
-  auto it = std::lower_bound(sorted_entries_.begin(), sorted_entries_.end(), i,
-                             IdBefore);
-  return it != sorted_entries_.end() && it->first == i ? it->second : 1.0;
+  const std::pair<NodeId, double>* entry = FindEntry(sorted_entries_, i);
+  return entry == nullptr ? 1.0 : entry->second;
 }
 
 double WeightTable::ExcessWeightSum(const std::vector<NodeId>& nodes) const {
