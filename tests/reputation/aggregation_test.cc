@@ -1,5 +1,4 @@
 #include <cmath>
-#include <utility>
 #include "reputation/aggregation.h"
 
 #include "graph/generators.h"
@@ -189,8 +188,8 @@ TEST(AggregationTest, GclrVectorRejectsOverflowingWeights) {
   Graph g = MakePaGraph(40, 2, 7);
   TrustMatrix t(40);
   FillTrust(g, &t, 3);
-  for (auto [a, b] : {std::pair{HUGE_VAL, 1.0}, std::pair{4.0, HUGE_VAL},
-                      std::pair{1e300, 2.0}}) {
+  const double cases[][2] = {{HUGE_VAL, 1.0}, {4.0, HUGE_VAL}, {1e300, 2.0}};
+  for (const auto& [a, b] : cases) {
     AggregationOptions o = Opts(1e-6);
     o.weights.a = a;
     o.weights.b = b;
