@@ -5,7 +5,7 @@
 // backbone + access latency), gossip boundaries fire at event time
 // feeding the live ReputationService's MPSC ingest queue, and every
 // completed request/response round trip is accounted against per-link
-// latencies — the OverSim-style workload ROADMAP item 3 asks for.
+// latencies — an OverSim-style workload.
 //
 // The acceptance arc is the synchronous demo's: collusion onset must
 // raise the served-vs-reference RMS error and measurably degrade honest

@@ -17,12 +17,7 @@ ChurnPushSum::ChurnPushSum(const Graph& initial, GossipOptions gossip,
 Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
                                             const std::vector<double>& g0) {
   const uint32_t n0 = initial_.num_nodes();
-  if (y0.size() != n0 || g0.size() != n0) {
-    return Status::InvalidArgument("y0/g0 must match the initial graph");
-  }
-  for (double g : g0) {
-    if (g < 0.0) return Status::InvalidArgument("gossip weights must be >= 0");
-  }
+  DGT_RETURN_IF_ERROR(ValidateScalarInputs(n0, y0, g0, {}));
   DGT_RETURN_IF_ERROR(CheckPushSumOptions(gossip_));
   if (!IsProbability(churn_.leave_prob) || churn_.leave_prob >= 1.0) {
     return Status::InvalidArgument("leave_prob must lie in [0, 1)");

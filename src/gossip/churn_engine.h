@@ -80,6 +80,9 @@ class ChurnPushSum {
   ChurnPushSum(const Graph& initial, GossipOptions gossip,
                ChurnOptions churn);
 
+  // Fails with InvalidArgument unless y0 and g0 hold one finite value per
+  // initial node with every g0 >= 0 (ValidateScalarInputs), the gossip
+  // options pass CheckPushSumOptions and the churn rates are in range.
   Result<ChurnGossipResult> Run(const std::vector<double>& y0,
                                 const std::vector<double>& g0);
 

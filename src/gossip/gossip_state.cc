@@ -213,47 +213,42 @@ MergeOutcome SparseVectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
   constexpr double sentinel = kRatioSentinel;
+  const size_t n = state.size();
   std::vector<MergeCursor>& cursors = scratch.cursors;
   cursors.clear();
+  size_t inbox_nnz = 0;
+  bool all_full = true;
   for (const PlanEntry& e : plan.inbox[i]) {
     const double inv =
         1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
-    cursors.push_back({&state[e.sender], 0,
-                       static_cast<double>(e.shares) * inv, e.sender == i});
+    const double scale = static_cast<double>(e.shares) * inv;
+    const SparseVectorRow& src = state[e.sender];
+    cursors.push_back({&src, 0, scale, e.sender == i});
+    inbox_nnz += src.nnz();
+    all_full = all_full && src.nnz() == n;
   }
+  const MergeCursor* self = nullptr;
+  for (const MergeCursor& cur : cursors) {
+    if (cur.is_self) self = &cur;
+  }
+  // The merged row has at most one entry per column of the union.
+  const size_t capacity = std::min(n, inbox_nnz);
+  out.cols.reserve(capacity);
+  out.y.reserve(capacity);
+  out.g.reserve(capacity);
+  if (use_count) out.c.reserve(capacity);
 
   double l1_change = 0.0;
   bool has_weight = false;
-  while (true) {
-    uint32_t jmin = kNoColumn;
-    for (const MergeCursor& cur : cursors) {
-      if (cur.pos < cur.src->cols.size()) {
-        jmin = std::min(jmin, cur.src->cols[cur.pos]);
-      }
-    }
-    if (jmin == kNoColumn) break;
-    double ay = 0.0, ag = 0.0, ac = 0.0;
-    double old_y = 0.0, old_g = 0.0, old_c = 0.0;
-    bool in_old = false;
-    for (MergeCursor& cur : cursors) {
-      if (cur.pos < cur.src->cols.size() && cur.src->cols[cur.pos] == jmin) {
-        ay += cur.src->y[cur.pos] * cur.scale;
-        ag += cur.src->g[cur.pos] * cur.scale;
-        if (use_count) ac += cur.src->c[cur.pos] * cur.scale;
-        if (cur.is_self) {
-          in_old = true;
-          old_y = cur.src->y[cur.pos];
-          old_g = cur.src->g[cur.pos];
-          if (use_count) old_c = cur.src->c[cur.pos];
-        }
-        ++cur.pos;
-      }
-    }
-    // eq. (7) terms: ratio term, then count term. Columns outside the
-    // merged set contribute exact zeros (sentinel minus sentinel), so
-    // skipping them leaves the L1 sum bit-identical to a dense walk. The
-    // previous ratio comes from the kept share's source row — the node's
-    // own old state.
+  // Finishes merged column j from its summed channels and the node's old
+  // entry there (`in_old` false: the node held none). eq. (7) terms: ratio
+  // term, then count term. Columns outside the merged set contribute
+  // exact zeros (sentinel minus sentinel), so skipping them leaves the L1
+  // sum bit-identical to a dense walk. The previous ratio comes from the
+  // kept share's source row — the node's own old state.
+  auto finish_column = [&](uint32_t j, double ay, double ag, double ac,
+                           bool in_old, double old_y, double old_g,
+                           double old_c) {
     double r = ag != 0.0 ? ay / ag : sentinel;
     double prev = (in_old && old_g != 0.0) ? old_y / old_g : sentinel;
     l1_change += std::fabs(r - prev);
@@ -264,10 +259,60 @@ MergeOutcome SparseVectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
     }
     if (ag != 0.0) has_weight = true;
     if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
-      out.cols.push_back(jmin);
+      out.cols.push_back(j);
       out.y.push_back(ay);
       out.g.push_back(ag);
       if (use_count) out.c.push_back(ac);
+    }
+  };
+
+  if (all_full) {
+    // Every inbox row holds columns 0..n-1, so column j sits at index j of
+    // every row: walk by index, adding contributions in cursor order.
+    for (uint32_t j = 0; j < n; ++j) {
+      double ay = 0.0, ag = 0.0, ac = 0.0;
+      for (const MergeCursor& cur : cursors) {
+        ay += cur.src->y[j] * cur.scale;
+        ag += cur.src->g[j] * cur.scale;
+        if (use_count) ac += cur.src->c[j] * cur.scale;
+      }
+      if (self != nullptr) {
+        finish_column(j, ay, ag, ac, true, self->src->y[j], self->src->g[j],
+                      use_count ? self->src->c[j] : 0.0);
+      } else {
+        finish_column(j, ay, ag, ac, false, 0.0, 0.0, 0.0);
+      }
+    }
+  } else {
+    // k-way sorted-column walk: each step takes the smallest column under
+    // any cursor.
+    while (true) {
+      uint32_t jmin = kNoColumn;
+      for (const MergeCursor& cur : cursors) {
+        if (cur.pos < cur.src->cols.size()) {
+          jmin = std::min(jmin, cur.src->cols[cur.pos]);
+        }
+      }
+      if (jmin == kNoColumn) break;
+      double ay = 0.0, ag = 0.0, ac = 0.0;
+      double old_y = 0.0, old_g = 0.0, old_c = 0.0;
+      bool in_old = false;
+      for (MergeCursor& cur : cursors) {
+        if (cur.pos < cur.src->cols.size() &&
+            cur.src->cols[cur.pos] == jmin) {
+          ay += cur.src->y[cur.pos] * cur.scale;
+          ag += cur.src->g[cur.pos] * cur.scale;
+          if (use_count) ac += cur.src->c[cur.pos] * cur.scale;
+          if (cur.is_self) {
+            in_old = true;
+            old_y = cur.src->y[cur.pos];
+            old_g = cur.src->g[cur.pos];
+            if (use_count) old_c = cur.src->c[cur.pos];
+          }
+          ++cur.pos;
+        }
+      }
+      finish_column(jmin, ay, ag, ac, in_old, old_y, old_g, old_c);
     }
   }
   merged_nnz_[i] = out.nnz();

@@ -201,12 +201,16 @@ class SparseVectorGossipPolicy {
   // Counts each previous-step row's consumers for the release below.
   void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
                  const std::vector<Value>& state);
-  // k-way sorted-column walk over receiver i's inbox: each cursor scales
-  // its source row by shares * 1/(k+1); cost follows the nonzeros
-  // contributed, not N. The change is eq. (7)'s L1 sum over the merged
-  // columns (absent columns contribute exact zeros). Releases every
-  // previous-step row whose last consumer this merge was, so the live
-  // footprint stays near one copy of the state.
+  // Folds receiver i's inbox into `out`, reserved once at min(N, sum of
+  // inbox row sizes): each cursor scales its source row by
+  // shares * 1/(k+1). When every inbox row holds all N columns the merge
+  // walks columns 0..N-1 by index; otherwise a k-way sorted-column walk
+  // visits only the nonzeros contributed. Either way each column adds its
+  // contributions in cursor order, so both walks give the same bits. The
+  // change is eq. (7)'s L1 sum over the merged columns (absent columns
+  // contribute exact zeros). Releases every previous-step row whose last
+  // consumer this merge was, so the live footprint stays near one copy of
+  // the state.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
                      std::vector<Value>& state, Value& out, Scratch& scratch);
   // Replays the serial receiver-order bookkeeping (merge row i, then

@@ -9,18 +9,19 @@
 // evidence when sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi, followed by
 // the same announce/stop protocol as the scalar engine.
 //
-// Why sparse: dense length-N vectors need six N x N arrays (~120 GB at
-// the paper's N = 50,000), but trust matrices are sparse (a node only
-// holds direct trust in the few peers it transacted with), so early
-// gossip state is sparse too; rows only fill in as mass mixes across the
-// overlay. This engine's per-step cost is proportional to the nonzeros
-// actually pushed, not to N per message, and its memory footprint tracks
-// the live nonzero count.
+// Why sparse: trust matrices are sparse (a node only holds direct trust
+// in the few peers it transacted with), so early gossip state is sparse
+// too, and the memory footprint tracks the live nonzero count. Rows fill
+// in as mass mixes across the overlay, though: variant 4 at N = 1,000
+// (perfbench's gclr_sync) peaks at 1,160,500 nonzeros, about 1.16 N^2,
+// so the paper's N = 50,000 would need ~80 GB.
 //
 // State layout: each node holds one SparseVectorRow (gossip/gossip_state.h)
 // — CSR-style parallel arrays. The receive side merges all of a step's
-// contributions with a k-way sorted-column walk (merge-on-receive), so
-// incoming shares are combined without ever materialising a dense inbox.
+// contributions in one pass (merge-on-receive), without materialising a
+// dense inbox: a k-way sorted-column walk whose cost follows the
+// nonzeros pushed, or, once every inbox row holds all N columns, a walk
+// over the columns by index.
 // Absent columns contribute exact zeros to eq. (7)'s L1 test, so the
 // results are bit-for-bit those of a dense-vector run; a dense reference
 // policy in tests/ checks that (tests/gossip/sparse_vector_engine_test.cc).

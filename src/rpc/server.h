@@ -2,7 +2,7 @@
 // real transport in front of a ReputationService so the ~600k q/s
 // in-process number becomes an honest serving benchmark, and it is the
 // prerequisite for multi-process scaling (sharding, replication,
-// restartable service — ROADMAP items 1 and 5).
+// restartable service).
 //
 // Pipeline (one box per thread role):
 //

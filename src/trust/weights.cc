@@ -47,10 +47,4 @@ double WeightTable::Weight(NodeId i) const {
   return entry == nullptr ? 1.0 : entry->second;
 }
 
-double WeightTable::ExcessWeightSum(const std::vector<NodeId>& nodes) const {
-  double sum = 0.0;
-  for (NodeId i : nodes) sum += Weight(i) - 1.0;
-  return sum;
-}
-
 }  // namespace dgt

@@ -43,10 +43,6 @@ class WeightTable {
   // w_Ii (1 for nodes without a stored weight).
   double Weight(NodeId i) const;
 
-  // sum over the given node set of (w_Ii - 1); nodes outside the table
-  // contribute 0. Used for eq. (6)'s denominator over I's neighbours.
-  double ExcessWeightSum(const std::vector<NodeId>& nodes) const;
-
   // sum over all stored entries of (w_Ii - 1) — eq. (17)'s
   // sum_i (w_oi - 1) (strangers contribute 0), accumulated once at Build.
   double TotalExcessWeight() const { return total_excess_; }

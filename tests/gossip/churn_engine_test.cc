@@ -22,6 +22,18 @@ TEST(ChurnEngineTest, RejectsBadInput) {
   Graph g = MakePaGraph(20);
   ChurnPushSum engine(g, Gossip(), {});
   EXPECT_FALSE(engine.Run({1.0}, std::vector<double>(20, 1.0)).ok());
+  // Regression: only g0 < 0 was refused, so a NaN g0 ran to the step cap
+  // and returned NaN ratios, and an infinite g0 reported convergence with
+  // every ratio 0. Every y0 and g0 must be finite.
+  for (double w : {std::nan(""), HUGE_VAL}) {
+    std::vector<double> g0(20, 1.0);
+    g0[5] = w;
+    EXPECT_FALSE(engine.Run(std::vector<double>(20, 0.5), g0).ok())
+        << "g0=" << w;
+  }
+  std::vector<double> y0(20, 0.5);
+  y0[5] = std::nan("");
+  EXPECT_FALSE(engine.Run(y0, std::vector<double>(20, 1.0)).ok());
   ChurnOptions bad;
   bad.leave_prob = 1.0;
   EXPECT_FALSE(ChurnPushSum(g, Gossip(), bad)

@@ -1,10 +1,12 @@
 #include "gossip/sparse_vector_engine.h"
 
 #include <limits>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "dense_vector_policy.h"
+#include "graph/generators.h"
 #include "graph/graph.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
@@ -176,6 +178,103 @@ INSTANTIATE_TEST_SUITE_P(
       name += std::get<3>(info.param) ? "Count" : "NoCount";
       return name;
     });
+
+// Runs the sparse engine and the dense oracle from the same start (c0
+// empty: count channel off) and expects the same steps, messages and
+// estimates, bit for bit. Returns the sparse run.
+SparseVectorGossipResult ExpectMatchesDense(
+    const Graph& g, const GossipOptions& o,
+    const std::vector<std::vector<double>>& y0,
+    const std::vector<std::vector<double>>& g0,
+    const std::vector<std::vector<double>>& c0) {
+  const bool use_count = !c0.empty();
+  auto rd = RunDense(g, o, DenseValues(y0, g0, c0), use_count);
+  SparseVectorPushSum sparse(&g, o);
+  auto rs = sparse.Run(SparseFromDense(y0, g0, c0), use_count);
+  EXPECT_TRUE(rd.ok()) << rd.status().ToString();
+  EXPECT_TRUE(rs.ok()) << rs.status().ToString();
+  if (!rd.ok() || !rs.ok()) return {};
+  EXPECT_EQ(rd->stats.steps, rs->steps);
+  EXPECT_EQ(rd->stats.converged, rs->converged);
+  EXPECT_EQ(rd->stats.gossip_messages, rs->gossip_messages);
+  EXPECT_EQ(rd->stats.control_messages, rs->control_messages);
+  EXPECT_EQ(rd->stats.mean_messages_per_active_node_step,
+            rs->mean_messages_per_active_node_step);
+  EXPECT_EQ(rd->Estimates(), Densify(*rs));
+  if (use_count) {
+    EXPECT_EQ(rd->Estimates(/*count=*/true), Densify(*rs, /*count=*/true));
+  }
+  return *std::move(rs);
+}
+
+// Once every row in a receiver's inbox holds all N columns, the merge
+// walks columns by index instead of by sorted cursor. On complete graphs
+// a GCLR-shaped start fills in within a few steps, so most merges take
+// that walk; N = 2 is the smallest network.
+TEST(SparseVectorEngineTest, FullRowMergeMatchesDenseOnCompleteGraphs) {
+  for (uint32_t n : {2u, 5u}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    Graph g = GenerateComplete(n).value();
+    auto y0 = Matrix(n, 0.0);
+    auto g0 = Matrix(n, 0.0);
+    auto c0 = Matrix(n, 0.0);
+    Rng rng(17 + n);
+    for (uint32_t i = 0; i < n; ++i) {
+      g0[i][i] = 1.0;
+      for (uint32_t j = 0; j < n; ++j) {
+        if (i != j && rng.NextBernoulli(0.5)) {
+          y0[i][j] = rng.NextDouble();
+          c0[i][j] = 1.0;
+        }
+      }
+    }
+    for (double loss : {0.0, 0.2}) {
+      SCOPED_TRACE("loss=" + std::to_string(loss));
+      for (bool use_count : {false, true}) {
+        SCOPED_TRACE("count=" + std::to_string(use_count));
+        const auto counts = use_count ? c0 : Matrix(0, 0);
+        GossipOptions o = Opts(1e-6, 7);
+        o.packet_loss_prob = loss;
+        SparseVectorGossipResult r = ExpectMatchesDense(g, o, y0, g0, counts);
+        EXPECT_TRUE(r.converged);
+        // Every final row carries weight in all N columns: the rows had
+        // filled in, so the last steps merged full inboxes.
+        ASSERT_EQ(r.rows.size(), n);
+        for (const auto& row : r.rows) EXPECT_EQ(row.cols.size(), n);
+      }
+    }
+  }
+}
+
+// A full-row start whose column d holds only y = denorm_min (g = c = 0).
+// Every first-step share is at most half a row, so the column's scaled
+// sum underflows to exact zero and the merge drops it; from the second
+// step on no row is full and the merge goes back to the sorted walk.
+TEST(SparseVectorEngineTest, UnderflowedColumnLeavesTheFullRowWalk) {
+  const uint32_t n = 5, d = 2;
+  Graph g = GenerateComplete(n).value();
+  auto y0 = Matrix(n, 0.0);
+  auto g0 = Matrix(n, 1.0);
+  auto c0 = Matrix(n, 1.0);
+  Rng rng(29);
+  for (uint32_t i = 0; i < n; ++i) {
+    for (uint32_t j = 0; j < n; ++j) y0[i][j] = rng.NextDouble();
+    y0[i][d] = std::numeric_limits<double>::denorm_min();
+    g0[i][d] = 0.0;
+    c0[i][d] = 0.0;
+  }
+  for (bool use_count : {false, true}) {
+    SCOPED_TRACE("count=" + std::to_string(use_count));
+    const auto counts = use_count ? c0 : Matrix(0, 0);
+    GossipOptions o = Opts(1e-6, 7);
+    EXPECT_TRUE(ExpectMatchesDense(g, o, y0, g0, counts).converged);
+    // After the first step the column is exactly zero in every row.
+    o.max_steps = 1;
+    auto rd = RunDense(g, o, DenseValues(y0, g0, counts), use_count);
+    ASSERT_TRUE(rd.ok());
+    for (const auto& v : rd->state) EXPECT_EQ(v.y[d], 0.0);
+  }
+}
 
 TEST(SparseVectorEngineTest, AllColumnsConvergeToColumnAverages) {
   const uint32_t n = 40;

@@ -113,16 +113,12 @@ TEST(WeightTableTest, RejectsBadParamsAndOwner) {
   EXPECT_FALSE(WeightTable::Build(t, 7, p).ok());
 }
 
-TEST(WeightTableTest, ExcessWeightSum) {
+TEST(WeightTableTest, TotalExcessWeight) {
   TrustMatrix t = MakeTrust();
   WeightParams p;
   p.a = 4.0;
   p.b = 1.0;
   auto w = WeightTable::Build(t, 0, p).value();
-  // Over {1,2}: (4-1) + (2-1) = 4; strangers contribute 0.
-  EXPECT_DOUBLE_EQ(w.ExcessWeightSum({1, 2}), 4.0);
-  EXPECT_DOUBLE_EQ(w.ExcessWeightSum({4}), 0.0);
-  EXPECT_DOUBLE_EQ(w.ExcessWeightSum({}), 0.0);
   // Total over all stored entries: 3 + 1 + 0 = 4.
   EXPECT_DOUBLE_EQ(w.TotalExcessWeight(), 4.0);
 }
