@@ -1,8 +1,11 @@
 // Validates the closed-form collusion analysis of section 5.2 against
 // measured quantities: the weighted estimator's error equals the
-// unweighted error shrunk by exactly N / (N + sum_i (w_oi - 1)) (eq. 17),
-// for every observer and target; and the expectation formula (eq. 12)
-// tracks the per-target measured deltas.
+// unweighted error shrunk by exactly N / (N + sum_i (w_oi - 1)) (eq. 17,
+// read from PredictCollusionError), for every observer and target; and
+// the expectation formula (eq. 12) tracks the per-target measured deltas.
+//
+// Exits 1 if any row's identity residual exceeds 1e-12, or if its mean
+// weighted delta is not below its mean unweighted delta.
 
 #include <cmath>
 #include <iostream>
@@ -14,6 +17,7 @@
 int main() {
   using namespace dgt;
   const uint32_t kN = 1000;
+  const double kMaxResidual = 1e-12;
 
   Graph g = bench_util::MustMakePaGraph(kN, 2, 42);
   (void)g;  // the closed-form analysis is topology-free
@@ -32,6 +36,7 @@ int main() {
                    "max |identity residual|", "mean |delta_old|",
                    "mean |delta_new|"});
 
+  bool holds = true;
   for (double fraction : {0.1, 0.3, 0.5}) {
     for (uint32_t group : {1u, 8u, 32u}) {
       CollusionConfig cfg;
@@ -46,8 +51,8 @@ int main() {
       const NodeId observer = 3;
       auto w = WeightTable::Build(honest, observer, params);
       if (!w.ok()) return 1;
-      double shrink =
-          static_cast<double>(kN) / (kN + w->TotalExcessWeight());
+      const double shrink =
+          PredictCollusionError(honest, *plan, group, *w, 0).shrink_factor;
 
       double max_residual = 0.0;
       RunningStats old_mag, new_mag;
@@ -63,9 +68,19 @@ int main() {
                     FormatDouble(shrink, 4), FormatDouble(max_residual, 12),
                     FormatDouble(old_mag.mean(), 5),
                     FormatDouble(new_mag.mean(), 5)});
+      if (max_residual > kMaxResidual ||
+          !(new_mag.mean() < old_mag.mean())) {
+        std::cerr << "eq. 17 check failed at " << 100 * fraction
+                  << "% colluders, G = " << group << ": max residual "
+                  << max_residual << " (bound " << kMaxResidual
+                  << "), mean |delta_new| " << new_mag.mean()
+                  << ", mean |delta_old| " << old_mag.mean() << "\n";
+        holds = false;
+      }
     }
   }
   bench_util::Emit(table, "ablation_collusion_analysis.csv");
+  if (!holds) return 1;
   std::cout << "the identity residual is at floating-point noise level: "
                "eq. 17 holds exactly on measured quantities, and the "
                "weighted deltas are uniformly smaller.\n";

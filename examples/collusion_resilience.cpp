@@ -93,8 +93,11 @@ int main(int argc, char** argv) {
     dgt::NodeId obs = 0;
     while (plan->IsColluder(obs)) ++obs;
     auto w = dgt::WeightTable::Build(world.honest, obs, opts.weights);
-    double shrink =
-        static_cast<double>(n) / (n + w->TotalExcessWeight());
+    if (!w.ok()) continue;
+    const double shrink =
+        dgt::PredictCollusionError(world.honest, *plan, cfg.group_size, *w,
+                                   obs)
+            .shrink_factor;
 
     table.AddRow({dgt::FormatDouble(100 * fraction, 0),
                   dgt::FormatDouble(plain_err.value(), 4),

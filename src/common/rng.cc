@@ -1,7 +1,6 @@
 #include "common/rng.h"
 
 #include <cassert>
-#include <cmath>
 
 namespace dgt {
 
@@ -52,13 +51,6 @@ uint64_t Rng::NextBelow(uint64_t bound) {
   }
 }
 
-int64_t Rng::NextInt(int64_t lo, int64_t hi) {
-  assert(lo <= hi);
-  uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo) + 1;
-  if (span == 0) return static_cast<int64_t>(NextU64());  // full 64-bit range
-  return lo + static_cast<int64_t>(NextBelow(span));
-}
-
 double Rng::NextDouble() {
   return static_cast<double>(NextU64() >> 11) * 0x1.0p-53;
 }
@@ -71,13 +63,6 @@ bool Rng::NextBernoulli(double p) {
   if (p <= 0.0) return false;
   if (p >= 1.0) return true;
   return NextDouble() < p;
-}
-
-double Rng::NextGaussian() {
-  // Box-Muller; u1 in (0,1] to avoid log(0).
-  double u1 = 1.0 - NextDouble();
-  double u2 = NextDouble();
-  return std::sqrt(-2.0 * std::log(u1)) * std::cos(2.0 * M_PI * u2);
 }
 
 std::size_t Rng::NextDiscrete(const std::vector<double>& weights) {
@@ -119,8 +104,6 @@ std::vector<uint32_t> Rng::SampleWithoutReplacement(uint32_t n, uint32_t k) {
   }
   return out;
 }
-
-Rng Rng::Fork() { return Rng(NextU64()); }
 
 Rng Rng::StreamAt(uint64_t stream, uint64_t counter) const {
   // Two full-avalanche absorptions over the construction seed; the golden

@@ -12,7 +12,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace dgt {
@@ -36,9 +35,6 @@ class Rng {
   // Uniform in [0, bound). Precondition: bound > 0. Unbiased (rejection).
   uint64_t NextBelow(uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive. Precondition: lo <= hi.
-  int64_t NextInt(int64_t lo, int64_t hi);
-
   // Uniform double in [0, 1) with 53 bits of precision.
   double NextDouble();
 
@@ -48,9 +44,6 @@ class Rng {
   // Bernoulli trial with success probability p (clamped to [0,1]).
   bool NextBernoulli(double p);
 
-  // Standard normal via Box-Muller (no cached spare; stateless per call pair).
-  double NextGaussian();
-
   // Index in [0, weights.size()) drawn with probability proportional to
   // weights[i]. Precondition: at least one weight > 0, none negative.
   std::size_t NextDiscrete(const std::vector<double>& weights);
@@ -59,27 +52,13 @@ class Rng {
   // Precondition: k <= n. Result order is unspecified but deterministic.
   std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k);
 
-  // In-place Fisher-Yates shuffle.
-  template <typename T>
-  void Shuffle(std::vector<T>& v) {
-    for (std::size_t i = v.size(); i > 1; --i) {
-      std::size_t j = static_cast<std::size_t>(NextBelow(i));
-      using std::swap;
-      swap(v[i - 1], v[j]);
-    }
-  }
-
-  // A new Rng with a state derived from this one; use to hand independent
-  // streams to sub-components. Consumes state (successive forks differ).
-  Rng Fork();
-
   // Counter-based stream derivation: an independent generator whose state
   // is a pure function of (this generator's construction seed, stream,
-  // counter) — e.g. StreamAt(node, event). Unlike Fork it does NOT consume
-  // state, so streams can be derived concurrently from many workers and
-  // the draw sequence of stream (i, s) is identical no matter how many
-  // threads run or in which order streams are instantiated. This is what
-  // makes the event-driven engine's draws thread-count invariant.
+  // counter) — e.g. StreamAt(node, event). It does NOT consume state, so
+  // streams can be derived concurrently from many workers and the draw
+  // sequence of stream (i, s) is identical no matter how many threads run
+  // or in which order streams are instantiated. This is what makes the
+  // event-driven engine's draws thread-count invariant.
   Rng StreamAt(uint64_t stream, uint64_t counter) const;
 
  private:

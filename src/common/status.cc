@@ -18,8 +18,6 @@ std::string_view StatusCodeToString(StatusCode code) {
       return "AlreadyExists";
     case StatusCode::kInternal:
       return "Internal";
-    case StatusCode::kUnimplemented:
-      return "Unimplemented";
     case StatusCode::kIoError:
       return "IoError";
   }

@@ -21,7 +21,6 @@ enum class StatusCode {
   kFailedPrecondition = 4,
   kAlreadyExists = 5,
   kInternal = 6,
-  kUnimplemented = 7,
   kIoError = 8,
 };
 
@@ -59,9 +58,6 @@ class Status {
   }
   static Status Internal(std::string msg) {
     return Status(StatusCode::kInternal, std::move(msg));
-  }
-  static Status Unimplemented(std::string msg) {
-    return Status(StatusCode::kUnimplemented, std::move(msg));
   }
   static Status IoError(std::string msg) {
     return Status(StatusCode::kIoError, std::move(msg));

@@ -20,13 +20,6 @@ void TableWriter::AddRow(std::vector<std::string> row) {
   rows_.push_back(std::move(row));
 }
 
-void TableWriter::AddNumericRow(const std::vector<double>& row, int precision) {
-  std::vector<std::string> cells;
-  cells.reserve(row.size());
-  for (double v : row) cells.push_back(FormatDouble(v, precision));
-  rows_.push_back(std::move(cells));
-}
-
 void TableWriter::Print(std::ostream& os) const {
   size_t cols = header_.size();
   for (const auto& r : rows_) cols = std::max(cols, r.size());

@@ -23,11 +23,6 @@ class TableWriter {
   // pads to the widest row.
   void AddRow(std::vector<std::string> row);
 
-  // Convenience: formats doubles with `precision` significant decimals.
-  void AddNumericRow(const std::vector<double>& row, int precision = 4);
-
-  size_t row_count() const { return rows_.size(); }
-
   // Renders the aligned table.
   void Print(std::ostream& os) const;
 

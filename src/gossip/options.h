@@ -94,13 +94,6 @@ struct PushSumStats {
   // to it, so the fixed overhead amortises over more steps as N grows or
   // xi shrinks, reproducing the paper's downward trend.
   double mean_messages_per_active_node_step = 0.0;
-
-  // Aggregate alternative: (gossip + control) / (num_nodes * steps).
-  double MessagesPerNodePerStep(uint32_t num_nodes) const {
-    if (num_nodes == 0 || steps == 0) return 0.0;
-    return static_cast<double>(gossip_messages + control_messages) /
-           (static_cast<double>(num_nodes) * static_cast<double>(steps));
-  }
 };
 
 // Outcome of a scalar push-sum run.

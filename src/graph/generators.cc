@@ -1,9 +1,5 @@
 #include "graph/generators.h"
 
-#include <algorithm>
-#include <numeric>
-#include <string>
-
 #include "common/rng.h"
 
 namespace dgt {
@@ -57,52 +53,6 @@ Result<Graph> GenerateErdosRenyi(uint32_t num_nodes, double p, uint64_t seed) {
       if (rng.NextBernoulli(p)) {
         DGT_RETURN_IF_ERROR(g.AddEdge(u, v));
       }
-    }
-  }
-  return g;
-}
-
-Result<Graph> GenerateFromDegreeSequence(
-    const std::vector<uint32_t>& degrees) {
-  const uint32_t n = static_cast<uint32_t>(degrees.size());
-  if (n == 0) return Status::InvalidArgument("empty degree sequence");
-  uint64_t total =
-      std::accumulate(degrees.begin(), degrees.end(), uint64_t{0});
-  if (total % 2 != 0) {
-    return Status::InvalidArgument("degree sum must be even");
-  }
-  for (uint32_t d : degrees) {
-    if (d >= n) {
-      return Status::InvalidArgument("degree " + std::to_string(d) +
-                                     " too large for " + std::to_string(n) +
-                                     " nodes");
-    }
-  }
-
-  // Havel–Hakimi with stable tie-breaking on node id (deterministic).
-  std::vector<std::pair<uint32_t, NodeId>> residual;  // (remaining degree, id)
-  residual.reserve(n);
-  for (NodeId i = 0; i < n; ++i) residual.emplace_back(degrees[i], i);
-
-  Graph g(n);
-  for (;;) {
-    std::sort(residual.begin(), residual.end(), [](const auto& a,
-                                                   const auto& b) {
-      if (a.first != b.first) return a.first > b.first;
-      return a.second < b.second;
-    });
-    if (residual.front().first == 0) break;  // all satisfied
-    auto [d, u] = residual.front();
-    residual.front().first = 0;
-    if (d >= residual.size()) {
-      return Status::InvalidArgument("degree sequence not graphical");
-    }
-    for (uint32_t i = 1; i <= d; ++i) {
-      if (residual[i].first == 0) {
-        return Status::InvalidArgument("degree sequence not graphical");
-      }
-      DGT_RETURN_IF_ERROR(g.AddEdge(u, residual[i].second));
-      --residual[i].first;
     }
   }
   return g;

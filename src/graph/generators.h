@@ -6,7 +6,6 @@
 #define DGT_GRAPH_GENERATORS_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "common/result.h"
 #include "graph/graph.h"
@@ -24,13 +23,8 @@ Result<Graph> GenerateRing(uint32_t num_nodes);
 Result<Graph> GenerateStar(uint32_t num_nodes);
 
 // Erdős–Rényi G(n, p). May be disconnected; callers that need
-// connectivity should check with ConnectedComponents().
+// connectivity should check with IsConnected().
 Result<Graph> GenerateErdosRenyi(uint32_t num_nodes, double p, uint64_t seed);
-
-// Deterministic Havel–Hakimi realization of a degree sequence. Fails with
-// InvalidArgument if the sequence is not graphical. Used to rebuild the
-// paper's Fig. 2 example network from its published degree sequence.
-Result<Graph> GenerateFromDegreeSequence(const std::vector<uint32_t>& degrees);
 
 // The 10-node example network of the paper (Fig. 2 / Table 1): degree
 // sequence (4,4,7,3,3,2,2,2,3,2) realized deterministically. Node ids are

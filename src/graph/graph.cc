@@ -43,14 +43,6 @@ bool Graph::HasEdge(NodeId u, NodeId v) const {
   return std::find(a.begin(), a.end(), target) != a.end();
 }
 
-double Graph::AverageNeighborDegree(NodeId u) const {
-  const auto& nbrs = adj_[u];
-  if (nbrs.empty()) return 0.0;
-  uint64_t sum = 0;
-  for (NodeId v : nbrs) sum += adj_[v].size();
-  return static_cast<double>(sum) / static_cast<double>(nbrs.size());
-}
-
 uint32_t Graph::DifferentialPushCount(NodeId u, KRounding rounding) const {
   return dgt::DifferentialPushCount(adj_, u, rounding);
 }

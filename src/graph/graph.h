@@ -55,9 +55,6 @@ class Graph {
   // Every node's neighbour list, indexed by node.
   const std::vector<std::vector<NodeId>>& Adjacency() const { return adj_; }
 
-  // Mean degree over the neighbours of u; 0 for isolated nodes.
-  double AverageNeighborDegree(NodeId u) const;
-
   // The differential-gossip push count for node u:
   //   k_u = round(deg(u) / avg_neighbor_deg(u)) if the ratio >= 1, else 1.
   // Isolated nodes get k = 1 by convention (they only push to themselves).

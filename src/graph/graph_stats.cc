@@ -7,18 +7,6 @@
 
 namespace dgt {
 
-std::vector<uint64_t> DegreeHistogram(const Graph& g) {
-  std::vector<uint64_t> hist(MaxDegree(g) + 1, 0);
-  for (NodeId u = 0; u < g.num_nodes(); ++u) ++hist[g.Degree(u)];
-  return hist;
-}
-
-double AverageDegree(const Graph& g) {
-  if (g.num_nodes() == 0) return 0.0;
-  return static_cast<double>(g.DegreeSum()) /
-         static_cast<double>(g.num_nodes());
-}
-
 uint32_t MaxDegree(const Graph& g) {
   uint32_t m = 0;
   for (NodeId u = 0; u < g.num_nodes(); ++u) m = std::max(m, g.Degree(u));
@@ -103,69 +91,10 @@ std::vector<uint32_t> ConnectedComponents(const Graph& g) {
   return comp;
 }
 
-uint32_t NumConnectedComponents(const Graph& g) {
-  auto comp = ConnectedComponents(g);
-  uint32_t mx = 0;
-  for (uint32_t c : comp) mx = std::max(mx, c + 1);
-  return g.num_nodes() == 0 ? 0 : mx;
-}
-
 bool IsConnected(const Graph& g) {
-  return g.num_nodes() <= 1 || NumConnectedComponents(g) == 1;
-}
-
-double GlobalClusteringCoefficient(const Graph& g) {
-  uint64_t closed = 0;  // ordered closed wedges (3 * 2 per triangle)
-  uint64_t wedges = 0;
-  for (NodeId u = 0; u < g.num_nodes(); ++u) {
-    const auto& nbrs = g.Neighbors(u);
-    uint64_t d = nbrs.size();
-    if (d < 2) continue;
-    wedges += d * (d - 1) / 2;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      for (size_t j = i + 1; j < nbrs.size(); ++j) {
-        if (g.HasEdge(nbrs[i], nbrs[j])) ++closed;
-      }
-    }
-  }
-  if (wedges == 0) return 0.0;
-  return static_cast<double>(closed) / static_cast<double>(wedges);
-}
-
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source) {
-  constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
-  std::vector<uint32_t> dist(g.num_nodes(), kInf);
-  dist[source] = 0;
-  std::deque<NodeId> queue{source};
-  while (!queue.empty()) {
-    NodeId u = queue.front();
-    queue.pop_front();
-    for (NodeId v : g.Neighbors(u)) {
-      if (dist[v] == kInf) {
-        dist[v] = dist[u] + 1;
-        queue.push_back(v);
-      }
-    }
-  }
-  return dist;
-}
-
-uint32_t EstimateDiameter(const Graph& g, uint32_t num_samples, Rng& rng) {
-  if (g.num_nodes() == 0) return 0;
-  constexpr uint32_t kInf = std::numeric_limits<uint32_t>::max();
-  uint32_t best = 0;
-  uint32_t samples = std::min(num_samples, g.num_nodes());
-  bool exhaustive = samples >= g.num_nodes();
-  for (uint32_t i = 0; i < samples; ++i) {
-    NodeId s = exhaustive
-                   ? static_cast<NodeId>(i)
-                   : static_cast<NodeId>(rng.NextBelow(g.num_nodes()));
-    auto dist = BfsDistances(g, s);
-    for (uint32_t d : dist) {
-      if (d != kInf) best = std::max(best, d);
-    }
-  }
-  return best;
+  const std::vector<uint32_t> comp = ConnectedComponents(g);
+  return std::all_of(comp.begin(), comp.end(),
+                     [](uint32_t c) { return c == 0; });
 }
 
 }  // namespace dgt

@@ -1,8 +1,7 @@
-// Topology metrics: degree distribution, power-law exponent fit and tail
-// check (complementary CDF, Kolmogorov-Smirnov distance to the fitted
-// law), connected components, clustering, and distance estimates. Used to
-// validate that the PA generator produces the power-law overlays the
-// paper assumes (Gnutella-like, alpha ~= 2.3).
+// Topology metrics: maximum degree, power-law exponent fit and tail check
+// (complementary CDF, Kolmogorov-Smirnov distance to the fitted law) and
+// connected components. Used to validate that the PA generator produces
+// the power-law overlays the paper assumes (Gnutella-like, alpha ~= 2.3).
 
 #ifndef DGT_GRAPH_GRAPH_STATS_H_
 #define DGT_GRAPH_GRAPH_STATS_H_
@@ -11,15 +10,10 @@
 #include <vector>
 
 #include "common/result.h"
-#include "common/rng.h"
 #include "graph/graph.h"
 
 namespace dgt {
 
-// histogram[d] = number of nodes with degree d.
-std::vector<uint64_t> DegreeHistogram(const Graph& g);
-
-double AverageDegree(const Graph& g);
 uint32_t MaxDegree(const Graph& g);
 
 // Continuous MLE for the power-law exponent (Clauset et al.):
@@ -42,20 +36,9 @@ Result<double> PowerLawKsDistance(const std::vector<uint32_t>& sample,
 // order). Size of returned vector == num_nodes.
 std::vector<uint32_t> ConnectedComponents(const Graph& g);
 
-uint32_t NumConnectedComponents(const Graph& g);
+// True when every node shares node 0's component (graphs of 0 or 1 node
+// included).
 bool IsConnected(const Graph& g);
-
-// Global clustering coefficient: 3 * triangles / open triads. 0 if the
-// graph has no wedge.
-double GlobalClusteringCoefficient(const Graph& g);
-
-// BFS hop distances from `source`; unreachable nodes get UINT32_MAX.
-std::vector<uint32_t> BfsDistances(const Graph& g, NodeId source);
-
-// Diameter estimated as the max eccentricity over `num_samples` random
-// source nodes (exact if num_samples >= num_nodes). Lower bound on the
-// true diameter.
-uint32_t EstimateDiameter(const Graph& g, uint32_t num_samples, Rng& rng);
 
 }  // namespace dgt
 

@@ -42,13 +42,6 @@ class LinkModel {
   // Precondition: u, v < num_nodes.
   double Latency(NodeId u, NodeId v, Rng& rng) const;
 
-  double AccessLatency(NodeId u) const { return access_[u]; }
-
-  // Expected latency ignoring jitter (for analysis).
-  double MeanLatency(NodeId u, NodeId v) const {
-    return access_[u] + options_.backbone_latency + access_[v];
-  }
-
   // Lower bound over every ordered pair u != v of the jitter-free latency
   // (jitter only adds delay), i.e. backbone + the two smallest access
   // latencies. Guaranteed > 0 for any successfully created model; this is

@@ -18,7 +18,7 @@ uint32_t MsbPosition(uint64_t value) {
 #endif
 }
 
-// Compact deterministic number formatting for both expositions: integral
+// Compact deterministic number formatting for the exposition: integral
 // values render without a decimal point, everything else via %g.
 std::string FormatNumber(double v) {
   char buf[64];
@@ -102,37 +102,6 @@ HistogramSnapshot LatencyHistogram::Snapshot() const {
     snap.buckets[i] = buckets_[i].load(std::memory_order_relaxed);
   }
   return snap;
-}
-
-std::string MetricsSnapshot::ToJson() const {
-  std::string out = "{\"counters\":{";
-  bool first = true;
-  for (const auto& [name, value] : counters) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":" + std::to_string(value);
-  }
-  out += "},\"gauges\":{";
-  first = true;
-  for (const auto& [name, value] : gauges) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":" + std::to_string(value);
-  }
-  out += "},\"histograms\":{";
-  first = true;
-  for (const auto& [name, h] : histograms) {
-    if (!first) out += ',';
-    first = false;
-    out += '"' + name + "\":{\"count\":" + std::to_string(h.count) +
-           ",\"sum\":" + std::to_string(h.sum) +
-           ",\"mean\":" + FormatNumber(h.Mean()) +
-           ",\"p50\":" + FormatNumber(h.ValueAtPercentile(50.0)) +
-           ",\"p99\":" + FormatNumber(h.ValueAtPercentile(99.0)) +
-           ",\"p999\":" + FormatNumber(h.ValueAtPercentile(99.9)) + '}';
-  }
-  out += "}}";
-  return out;
 }
 
 std::string MetricsSnapshot::ToPrometheusText() const {

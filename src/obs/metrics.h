@@ -1,6 +1,6 @@
 // Process-wide metrics for the serving stack: cheap counters, gauges and
 // a log-bucketed latency histogram behind one MetricsRegistry, exported
-// as JSON and Prometheus-style text and over the wire via the stats RPC
+// as Prometheus-style text and over the wire via the stats RPC
 // (rpc/wire.h kStatsRequest). The design constraint is the serving hot
 // path: Increment/Record are lock-free relaxed atomics (counters sharded
 // by thread to dodge cache-line ping-pong), and all aggregation cost is
@@ -158,12 +158,8 @@ struct MetricsSnapshot {
   std::map<std::string, int64_t> gauges;
   std::map<std::string, HistogramSnapshot> histograms;
 
-  // {"counters":{...},"gauges":{...},"histograms":{"name":{"count":..,
-  // "sum":..,"mean":..,"p50":..,"p99":..,"p999":..}}} — single line,
-  // keys sorted; pinned by a golden test.
-  std::string ToJson() const;
   // Prometheus text exposition: counters/gauges as-is, histograms as
-  // summaries (quantile labels + _sum/_count). Also pinned by a golden.
+  // summaries (quantile labels + _sum/_count). Pinned by a golden test.
   std::string ToPrometheusText() const;
 };
 

@@ -4,15 +4,11 @@
 
 namespace dgt {
 
-Result<QueryResult> FloodQuery(const Graph& graph, NodeId origin,
-                               uint32_t ttl,
-                               const std::vector<uint8_t>& holder) {
+Result<QueryResult> FloodQueryAllHolders(const Graph& graph, NodeId origin,
+                                         uint32_t ttl) {
   const uint32_t n = graph.num_nodes();
   if (origin >= n) return Status::OutOfRange("origin out of range");
   if (ttl == 0) return Status::InvalidArgument("ttl must be >= 1");
-  if (holder.size() != n) {
-    return Status::InvalidArgument("holder flags must have one entry/node");
-  }
 
   QueryResult res;
   std::vector<uint8_t> seen(n, 0);
@@ -21,7 +17,7 @@ Result<QueryResult> FloodQuery(const Graph& graph, NodeId origin,
 
   // BFS with per-hop accounting. Each node forwards the query to ALL its
   // neighbours (the flood); duplicate deliveries cost a message but are
-  // not re-forwarded.
+  // not re-forwarded. Every newly reached node is a holder and answers.
   std::deque<std::pair<NodeId, uint32_t>> frontier{{origin, 0}};
   while (!frontier.empty()) {
     auto [u, depth] = frontier.front();
@@ -33,23 +29,14 @@ Result<QueryResult> FloodQuery(const Graph& graph, NodeId origin,
       seen[v] = 1;
       ++res.nodes_reached;
       const uint32_t hops = depth + 1;
-      if (holder[v]) {
-        res.providers.push_back(v);
-        res.hops.push_back(hops);
-        // The response travels back along the discovery path.
-        res.response_messages += hops;
-      }
+      res.providers.push_back(v);
+      res.hops.push_back(hops);
+      // The response travels back along the discovery path.
+      res.response_messages += hops;
       frontier.emplace_back(v, hops);
     }
   }
   return res;
-}
-
-Result<QueryResult> FloodQueryAllHolders(const Graph& graph, NodeId origin,
-                                         uint32_t ttl) {
-  std::vector<uint8_t> holder(graph.num_nodes(), 1);
-  if (origin < graph.num_nodes()) holder[origin] = 0;
-  return FloodQuery(graph, origin, ttl, holder);
 }
 
 }  // namespace dgt

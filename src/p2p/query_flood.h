@@ -32,15 +32,10 @@ struct QueryResult {
   uint32_t nodes_reached = 0;
 };
 
-// Floods from `origin` with the given TTL; `holder(v)` says whether node
-// v can serve the resource. Fails with OutOfRange on a bad origin or
-// InvalidArgument on ttl == 0.
-Result<QueryResult> FloodQuery(const Graph& graph, NodeId origin,
-                               uint32_t ttl,
-                               const std::vector<uint8_t>& holder);
-
-// Convenience: every node except the origin is a holder ("data of
-// interest is always available", §3); providers = all nodes within ttl.
+// Floods from `origin` with the given TTL. Every node except the origin
+// holds the resource ("data of interest is always available", §3), so
+// the providers are all nodes within ttl hops. Fails with OutOfRange on
+// a bad origin or InvalidArgument on ttl == 0.
 Result<QueryResult> FloodQueryAllHolders(const Graph& graph, NodeId origin,
                                          uint32_t ttl);
 

@@ -11,6 +11,11 @@ namespace dgt {
 namespace rpc {
 namespace {
 
+// Max requests a worker drains (and answers against one pinned epoch
+// snapshot) per hand-off. Batching amortises the snapshot pin and keeps
+// a batch's replies epoch-consistent.
+constexpr size_t kMaxBatch = 32;
+
 WireError WireErrorFromStatus(const Status& s) {
   switch (s.code()) {
     case StatusCode::kInvalidArgument:
@@ -43,7 +48,6 @@ RpcServer::RpcServer(ReputationService* service, RpcServerOptions options)
       queue_(options.request_queue_capacity) {
   options_.worker_threads =
       ClampThreadsToHardware(options_.worker_threads, "rpc worker pool");
-  if (options_.max_batch == 0) options_.max_batch = 1;
   workers_held_ = options_.hold_workers;
   metrics_ = options_.metrics != nullptr ? options_.metrics
                                          : &obs::MetricsRegistry::Global();
@@ -248,7 +252,7 @@ void RpcServer::WorkerLoop() {
     Request first;
     if (!queue_.PopBlocking(&first)) return;  // closed and drained
     batch.push_back(std::move(first));
-    queue_.TryPopUpTo(options_.max_batch - 1, &batch);
+    queue_.TryPopUpTo(kMaxBatch - 1, &batch);
     // One snapshot pin per batch: every query in it is answered from the
     // same immutable epoch (the RCU read-side critical section).
     const std::shared_ptr<const ReputationSnapshot> snap = service_->Snapshot();

@@ -14,7 +14,8 @@
 //                bounded BoundedWorkQueue<Request>     (admission control)
 //                         │  condition-variable hand-off
 //                         ▼
-//                worker pool: PopBlocking + TryPopUpTo(max_batch - 1)
+//                worker pool: PopBlocking + TryPopUpTo(kMaxBatch - 1)
+//                         │  drain up to kMaxBatch = 32 requests (server.cc)
 //                         │  pin ONE snapshot per drained batch
 //                         │  answer queries via serve/query.h free fns
 //                         │  forward updates to SubmitTrustUpdate/Erase
@@ -72,11 +73,6 @@ struct RpcServerOptions {
   // with a Backpressure error reply — admission control instead of
   // unbounded buffering; see requests_rejected().
   size_t request_queue_capacity = 1024;
-
-  // Max requests a worker drains (and answers against one pinned epoch
-  // snapshot) per hand-off. Batching amortises the snapshot pin and
-  // keeps a batch's replies epoch-consistent.
-  uint32_t max_batch = 32;
 
   // Test hook: workers start parked until ReleaseWorkers(), so the
   // bounded queue's admission control can be exercised deterministically

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -256,6 +257,7 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
   ScenarioSpec& spec = scenario.spec;
   size_t declared_profiles = 0;
   size_t declared_groups = 0;
+  bool saw_graph = false;
   bool in_collusion = false;
 
   while (std::getline(in, raw)) {
@@ -283,6 +285,10 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
     } else if (key == "index") {
       DGT_ASSIGN_OR_RETURN(scenario.index, line.U64());
     } else if (key == "graph") {
+      // Exactly one, before 'collusion': the group table and every
+      // collusion id are sized and checked by its node count.
+      if (saw_graph) return line.Error("more than one 'graph' record");
+      saw_graph = true;
       DGT_ASSIGN_OR_RETURN(std::string topo, line.Token());
       if (topo == "pa") {
         scenario.graph.topology = FuzzTopology::kPreferentialAttachment;
@@ -391,9 +397,12 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
       DGT_ASSIGN_OR_RETURN(spec.seed, line.U64());
     } else if (key == "profiles") {
       DGT_ASSIGN_OR_RETURN(uint64_t count, line.U64());
+      // One profile per node, and node ids are 32-bit.
+      if (count > std::numeric_limits<uint32_t>::max()) {
+        return line.Error("profile count exceeds the node id range");
+      }
       declared_profiles = count;
       spec.profiles.clear();
-      spec.profiles.reserve(count);
     } else if (key == "profile") {
       DGT_ASSIGN_OR_RETURN(uint64_t count, line.U64());
       DGT_ASSIGN_OR_RETURN(std::string strategy, line.Token());
@@ -408,11 +417,14 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
         return line.Error("unknown strategy '" + strategy + "'");
       }
       DGT_ASSIGN_OR_RETURN(profile.service_quality, line.Double());
-      if (spec.profiles.size() + count > declared_profiles) {
+      if (count > declared_profiles - spec.profiles.size()) {
         return line.Error("profile runs exceed the declared profile count");
       }
       spec.profiles.insert(spec.profiles.end(), count, profile);
     } else if (key == "collusion") {
+      if (!saw_graph) {
+        return line.Error("'collusion' before the 'graph' record");
+      }
       CollusionPlan plan;
       DGT_ASSIGN_OR_RETURN(spec.collusion_report_zero_for_outsiders,
                            line.Bool());

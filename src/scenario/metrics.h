@@ -36,11 +36,6 @@ struct ClassMetrics {
     return served == 0 ? 0.0
                        : satisfaction_sum / static_cast<double>(served);
   }
-  // Net benefit in transfer units: downloads received minus uploads
-  // contributed (the quantity a selfish node maximises).
-  int64_t NetUtility() const {
-    return static_cast<int64_t>(served) - static_cast<int64_t>(uploads);
-  }
 };
 
 // One transaction round's per-class slice. `newcomer` splits out honest

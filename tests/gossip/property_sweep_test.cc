@@ -3,17 +3,23 @@
 // the core invariants must hold — exact mass conservation, termination,
 // convergence of every ratio to the true average, and sane message
 // accounting. These are the library's load-bearing guarantees; each
-// parameter point is a distinct ctest case.
+// parameter point is a distinct ctest case. A last sweep runs networks of
+// zero, one and two nodes through every engine and entry point.
 
 #include <cmath>
 #include <numeric>
 #include <string>
 #include <tuple>
 
+#include "gossip/churn_engine.h"
 #include "gossip/potential.h"
 #include "gossip/scalar_engine.h"
+#include "gossip/sparse_vector_engine.h"
+#include "gossip/spreading.h"
 #include "graph/generators.h"
 #include "graph/pa_generator.h"
+#include "net/async_gossip.h"
+#include "reputation/aggregation.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
@@ -232,6 +238,182 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<std::tuple<Topology, double>>& info) {
       return TopologyName(std::get<0>(info.param)) +
              (std::get<1>(info.param) == 0.0 ? "NoLoss" : "Loss20");
+    });
+
+// Networks of zero, one and two nodes: edgeless N in {0, 1, 2}, and
+// N = 2 with its one edge. Node i starts at y = kY[i], g = 1.
+struct SmallNetwork {
+  const char* name;
+  uint32_t num_nodes;
+  bool linked;
+};
+
+class SmallNetworkSweep : public ::testing::TestWithParam<SmallNetwork> {
+ protected:
+  static constexpr double kY[2] = {0.25, 0.75};
+  static constexpr double kXi = 1e-6;
+
+  uint32_t n() const { return GetParam().num_nodes; }
+  bool linked() const { return GetParam().linked; }
+
+  Graph MakeGraph() const {
+    Graph g(n());
+    if (linked()) {
+      EXPECT_TRUE(g.AddEdge(0, 1).ok());
+    }
+    return g;
+  }
+  std::vector<double> Y0() const { return {kY, kY + n()}; }
+  // An isolated node keeps its own ratio; a linked pair settles at its
+  // mean.
+  double ExpectedRatio(NodeId i) const {
+    return linked() ? 0.5 : kY[i];
+  }
+  // One-hot rows: node i holds column i with y = kY[i], g = 1.
+  std::vector<SparseVectorRow> OneHotRows() const {
+    std::vector<SparseVectorRow> rows(n());
+    for (NodeId i = 0; i < n(); ++i) {
+      rows[i].cols = {i};
+      rows[i].y = {kY[i]};
+      rows[i].g = {1.0};
+    }
+    return rows;
+  }
+  // Columns that reach node i: every node's when linked, else its own.
+  std::vector<uint32_t> ExpectedCols(NodeId i) const {
+    if (linked()) return {0, 1};
+    return {i};
+  }
+};
+
+TEST_P(SmallNetworkSweep, ScalarEnginesConverge) {
+  const Graph g = MakeGraph();
+  const std::vector<double> y0 = Y0();
+  const std::vector<double> g0(n(), 1.0);
+  GossipOptions options;
+  options.xi = kXi;
+
+  auto scalar = ScalarPushSum(&g, options).Run(y0, g0);
+  ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
+  EXPECT_TRUE(scalar->converged);
+  EXPECT_EQ(scalar->steps, linked() ? 6u : 0u);
+  ASSERT_EQ(scalar->ratios.size(), n());
+
+  // Churn off from the first step. Its step count is not pinned: its
+  // loop runs one step more than the scalar engine's on a stopped input.
+  ChurnOptions no_churn;
+  no_churn.churn_steps = 0;
+  auto churn = ChurnPushSum(g, options, no_churn).Run(y0, g0);
+  ASSERT_TRUE(churn.ok()) << churn.status().ToString();
+  EXPECT_TRUE(churn->converged);
+  EXPECT_EQ(churn->live_count, n());
+  ASSERT_EQ(churn->ratios.size(), n());
+
+  AsyncGossipOptions async_options;
+  async_options.xi = kXi;
+  auto async = AsyncPushSum(&g, async_options).Run(y0, g0);
+  ASSERT_TRUE(async.ok()) << async.status().ToString();
+  EXPECT_TRUE(async->converged);
+  ASSERT_EQ(async->ratios.size(), n());
+
+  for (NodeId i = 0; i < n(); ++i) {
+    EXPECT_NEAR(scalar->ratios[i], ExpectedRatio(i), kXi) << "node " << i;
+    EXPECT_NEAR(churn->ratios[i], ExpectedRatio(i), kXi) << "node " << i;
+    EXPECT_NEAR(async->ratios[i], ExpectedRatio(i), kXi) << "node " << i;
+  }
+}
+
+TEST_P(SmallNetworkSweep, SparseEnginesKeepEachColumnsRatio) {
+  // Each column carries one node's weight, so its ratio is that node's
+  // value wherever the column arrives.
+  const Graph g = MakeGraph();
+  GossipOptions options;
+  options.xi = kXi;
+  auto sync = SparseVectorPushSum(&g, options).Run(OneHotRows(), false);
+  ASSERT_TRUE(sync.ok()) << sync.status().ToString();
+  EXPECT_TRUE(sync->converged);
+  ASSERT_EQ(sync->rows.size(), n());
+
+  AsyncGossipOptions async_options;
+  async_options.xi = kXi;
+  auto async =
+      AsyncSparsePushSum(&g, async_options).Run(OneHotRows(), false);
+  ASSERT_TRUE(async.ok()) << async.status().ToString();
+  EXPECT_TRUE(async->stats.converged);
+  ASSERT_EQ(async->rows.size(), n());
+
+  for (NodeId i = 0; i < n(); ++i) {
+    const std::vector<uint32_t> cols = ExpectedCols(i);
+    ASSERT_EQ(sync->rows[i].cols, cols) << "node " << i;
+    ASSERT_EQ(async->rows[i].cols, cols) << "node " << i;
+    for (size_t k = 0; k < cols.size(); ++k) {
+      EXPECT_NEAR(sync->rows[i].estimates[k], kY[cols[k]], kXi);
+      EXPECT_NEAR(async->rows[i].y[k] / async->rows[i].g[k], kY[cols[k]],
+                  kXi);
+    }
+  }
+}
+
+TEST_P(SmallNetworkSweep, AggregationRefusesOnlyAnEmptyNetwork) {
+  const Graph g = MakeGraph();
+  TrustMatrix trust(n());
+  if (n() == 2) {
+    ASSERT_TRUE(trust.Set(0, 1, kY[0]).ok());
+    ASSERT_TRUE(trust.Set(1, 0, kY[1]).ok());
+  }
+  AggregationOptions options;
+  options.gossip.xi = kXi;
+  AsyncAggregationOptions async_options;
+  async_options.gossip.xi = kXi;
+  Rng rng(1);
+
+  const Status statuses[] = {
+      AggregateGlobalSingle(g, trust, 0, options).status(),
+      AggregateGclrSingle(g, trust, 0, options).status(),
+      AggregateGlobalVector(g, trust, options).status(),
+      AggregateGclrVector(g, trust, options).status(),
+      AggregateGclrVectorAsync(g, trust, async_options).status(),
+      TrackPotential(g, PushStrategy::kDifferential, 5, rng).status(),
+  };
+  for (const Status& s : statuses) {
+    if (n() == 0) {
+      EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+    } else {
+      EXPECT_TRUE(s.ok()) << s.ToString();
+    }
+  }
+}
+
+TEST_P(SmallNetworkSweep, RumorReachesEveryConnectedNode) {
+  const Graph g = MakeGraph();
+  for (SpreadProtocol protocol :
+       {SpreadProtocol::kPush, SpreadProtocol::kDifferentialPush,
+        SpreadProtocol::kPull, SpreadProtocol::kPushPull}) {
+    Rng rng(1);
+    auto r = SpreadRumor(g, 0, protocol, 50, rng);
+    if (n() == 0) {
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      continue;
+    }
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    // The edgeless pair never completes; otherwise the rumor needs one
+    // round per hop.
+    EXPECT_EQ(r->completed, n() == 1 || linked());
+    EXPECT_EQ(r->informed, linked() ? 2u : 1u);
+    if (r->completed) {
+      EXPECT_EQ(r->rounds, linked() ? 1u : 0u);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tiny, SmallNetworkSweep,
+    ::testing::Values(SmallNetwork{"Empty", 0, false},
+                      SmallNetwork{"OneNode", 1, false},
+                      SmallNetwork{"TwoIsolated", 2, false},
+                      SmallNetwork{"TwoLinked", 2, true}),
+    [](const ::testing::TestParamInfo<SmallNetwork>& info) {
+      return std::string(info.param.name);
     });
 
 }  // namespace

@@ -322,7 +322,6 @@ TEST(ScalarEngineTest, MessageCountersPopulated) {
   EXPECT_GE(r->control_messages, g.DegreeSum());
   EXPECT_GT(r->mean_messages_per_active_node_step, 1.0);
   EXPECT_LT(r->mean_messages_per_active_node_step, 5.0);
-  EXPECT_GT(r->MessagesPerNodePerStep(100), 0.0);
 }
 
 TEST(ScalarEngineTest, UniformPushChargesNoDegreeAnnouncements) {

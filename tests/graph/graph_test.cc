@@ -92,20 +92,6 @@ TEST(GraphTest, DegreeSumIsTwiceEdges) {
   EXPECT_EQ(g->DegreeSum(), 2 * g->num_edges());
 }
 
-TEST(GraphTest, AverageNeighborDegree) {
-  // Star on 4 nodes: hub 0 has 3 leaf neighbours of degree 1;
-  // each leaf has one neighbour (the hub) of degree 3.
-  auto g = Graph::FromEdges(4, {{0, 1}, {0, 2}, {0, 3}});
-  ASSERT_TRUE(g.ok());
-  EXPECT_DOUBLE_EQ(g->AverageNeighborDegree(0), 1.0);
-  EXPECT_DOUBLE_EQ(g->AverageNeighborDegree(1), 3.0);
-}
-
-TEST(GraphTest, AverageNeighborDegreeIsolated) {
-  Graph g(2);
-  EXPECT_DOUBLE_EQ(g.AverageNeighborDegree(0), 0.0);
-}
-
 TEST(GraphTest, DifferentialPushCountStarHub) {
   // Hub degree 5, avg neighbour degree 1 -> k = 5. Leaves: 1/5 < 1 -> 1.
   auto g = Graph::FromEdges(6, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {0, 5}});

@@ -26,61 +26,75 @@ TEST(LinkModelTest, RejectsBadOptions) {
 }
 
 TEST(LinkModelTest, AccessLatencyWithinRange) {
+  // Without backbone or jitter, a node's link to itself costs exactly
+  // twice its access latency.
   LinkModelOptions o;
   o.access_latency_min = 0.01;
   o.access_latency_max = 0.02;
+  o.backbone_latency = 0.0;
+  o.jitter = 0.0;
   auto m = LinkModel::Create(100, o);
   ASSERT_TRUE(m.ok());
+  Rng rng(1);
   for (NodeId u = 0; u < 100; ++u) {
-    EXPECT_GE(m->AccessLatency(u), 0.01);
-    EXPECT_LT(m->AccessLatency(u), 0.02);
+    EXPECT_GE(m->Latency(u, u, rng), 0.02);
+    EXPECT_LT(m->Latency(u, u, rng), 0.04);
   }
 }
 
 TEST(LinkModelTest, LatencyDecomposition) {
+  // Fixed access latencies and no jitter: every link costs
+  // access(u) + backbone + access(v).
   LinkModelOptions o;
-  o.jitter = 0.0;  // deterministic
+  o.access_latency_min = 0.01;
+  o.access_latency_max = 0.01;
+  o.jitter = 0.0;
   auto m = LinkModel::Create(10, o);
   ASSERT_TRUE(m.ok());
   Rng rng(1);
   for (NodeId u = 0; u < 10; ++u) {
     for (NodeId v = 0; v < 10; ++v) {
-      double expected =
-          m->AccessLatency(u) + o.backbone_latency + m->AccessLatency(v);
-      EXPECT_DOUBLE_EQ(m->Latency(u, v, rng), expected);
-      EXPECT_DOUBLE_EQ(m->MeanLatency(u, v), expected);
+      EXPECT_DOUBLE_EQ(m->Latency(u, v, rng),
+                       0.01 + o.backbone_latency + 0.01);
     }
   }
 }
 
 TEST(LinkModelTest, JitterAddsBoundedDelay) {
+  // Access latencies depend only on the seed and their range, so a
+  // jitter-free model with the same seed gives the base latency.
   LinkModelOptions o;
+  o.jitter = 0.0;
+  auto flat = LinkModel::Create(4, o);
   o.jitter = 0.5;
   auto m = LinkModel::Create(4, o);
-  ASSERT_TRUE(m.ok());
+  ASSERT_TRUE(flat.ok() && m.ok());
   Rng rng(2);
+  const double base = flat->Latency(0, 1, rng);
   for (int trial = 0; trial < 200; ++trial) {
     double l = m->Latency(0, 1, rng);
-    EXPECT_GE(l, m->MeanLatency(0, 1));
-    EXPECT_LT(l, m->MeanLatency(0, 1) + 0.5);
+    EXPECT_GE(l, base);
+    EXPECT_LT(l, base + 0.5);
   }
 }
 
 TEST(LinkModelTest, DeterministicPerSeed) {
   LinkModelOptions o;
+  o.jitter = 0.0;
   o.seed = 7;
   auto a = LinkModel::Create(20, o);
   auto b = LinkModel::Create(20, o);
   ASSERT_TRUE(a.ok() && b.ok());
+  Rng rng(1);
   for (NodeId u = 0; u < 20; ++u) {
-    EXPECT_DOUBLE_EQ(a->AccessLatency(u), b->AccessLatency(u));
+    EXPECT_EQ(a->Latency(u, u, rng), b->Latency(u, u, rng));
   }
   o.seed = 8;
   auto c = LinkModel::Create(20, o);
   ASSERT_TRUE(c.ok());
   int differ = 0;
   for (NodeId u = 0; u < 20; ++u) {
-    if (a->AccessLatency(u) != c->AccessLatency(u)) ++differ;
+    if (a->Latency(u, u, rng) != c->Latency(u, u, rng)) ++differ;
   }
   EXPECT_GT(differ, 15);
 }
@@ -88,9 +102,12 @@ TEST(LinkModelTest, DeterministicPerSeed) {
 TEST(LinkModelTest, AsymmetricEndpointsSymmetricSum) {
   // access(u) + access(v) is symmetric even though per-node access
   // latencies differ.
-  auto m = LinkModel::Create(6, {});
+  LinkModelOptions o;
+  o.jitter = 0.0;
+  auto m = LinkModel::Create(6, o);
   ASSERT_TRUE(m.ok());
-  EXPECT_DOUBLE_EQ(m->MeanLatency(2, 4), m->MeanLatency(4, 2));
+  Rng rng(1);
+  EXPECT_DOUBLE_EQ(m->Latency(2, 4, rng), m->Latency(4, 2, rng));
 }
 
 TEST(LinkModelTest, RejectsZeroLatencyLinkNamingTheEdge) {
@@ -120,11 +137,15 @@ TEST(LinkModelTest, ZeroAccessAllowedWhenBackbonePositive) {
 
 TEST(LinkModelTest, MinLatencyIsTightLowerBound) {
   auto m = LinkModel::Create(30, {});
-  ASSERT_TRUE(m.ok());
+  LinkModelOptions no_jitter;
+  no_jitter.jitter = 0.0;
+  auto flat = LinkModel::Create(30, no_jitter);  // same access latencies
+  ASSERT_TRUE(m.ok() && flat.ok());
+  Rng flat_rng(1);
   double brute = std::numeric_limits<double>::infinity();
   for (NodeId u = 0; u < 30; ++u) {
     for (NodeId v = 0; v < 30; ++v) {
-      if (u != v) brute = std::min(brute, m->MeanLatency(u, v));
+      if (u != v) brute = std::min(brute, flat->Latency(u, v, flat_rng));
     }
   }
   EXPECT_DOUBLE_EQ(m->MinLatency(), brute);

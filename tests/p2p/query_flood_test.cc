@@ -17,10 +17,10 @@ Graph Path(uint32_t n) {
 
 TEST(QueryFloodTest, RejectsBadInput) {
   Graph g = MakePaGraph(10);
-  std::vector<uint8_t> holder(10, 1);
-  EXPECT_FALSE(FloodQuery(g, 10, 3, holder).ok());
-  EXPECT_FALSE(FloodQuery(g, 0, 0, holder).ok());
-  EXPECT_FALSE(FloodQuery(g, 0, 3, std::vector<uint8_t>(9, 1)).ok());
+  EXPECT_EQ(FloodQueryAllHolders(g, 10, 3).status().code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(FloodQueryAllHolders(g, 0, 0).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(QueryFloodTest, TtlLimitsReachOnPath) {
@@ -33,17 +33,13 @@ TEST(QueryFloodTest, TtlLimitsReachOnPath) {
   EXPECT_EQ(r->nodes_reached, 4u);
 }
 
-TEST(QueryFloodTest, HoldersFilterProviders) {
+TEST(QueryFloodTest, ResponsesRouteBackAlongThePath) {
   Graph g = Path(6);
-  std::vector<uint8_t> holder(6, 0);
-  holder[2] = 1;
-  holder[4] = 1;
-  auto r = FloodQuery(g, 0, 5, holder);
+  auto r = FloodQueryAllHolders(g, 0, 5);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r->providers, (std::vector<NodeId>{2, 4}));
-  EXPECT_EQ(r->hops, (std::vector<uint32_t>{2, 4}));
-  // Responses: 2 + 4 hops back.
-  EXPECT_EQ(r->response_messages, 6u);
+  EXPECT_EQ(r->providers, (std::vector<NodeId>{1, 2, 3, 4, 5}));
+  // Responses: 1 + 2 + 3 + 4 + 5 hops back.
+  EXPECT_EQ(r->response_messages, 15u);
 }
 
 TEST(QueryFloodTest, NearestProvidersFirst) {
@@ -94,16 +90,6 @@ TEST(QueryFloodTest, DisconnectedRegionUnreachable) {
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->providers, (std::vector<NodeId>{1}));
   EXPECT_EQ(r->nodes_reached, 2u);
-}
-
-TEST(QueryFloodTest, NoHoldersNoResponses) {
-  Graph g = MakePaGraph(30, 2, 243);
-  std::vector<uint8_t> holder(30, 0);
-  auto r = FloodQuery(g, 0, 3, holder);
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->providers.empty());
-  EXPECT_EQ(r->response_messages, 0u);
-  EXPECT_GT(r->query_messages, 0u);  // the flood itself still costs
 }
 
 }  // namespace

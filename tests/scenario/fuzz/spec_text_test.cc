@@ -159,6 +159,10 @@ TEST(SpecTextTest, CommentsAreEmbeddedAndIgnoredOnLoad) {
 
 TEST(SpecTextTest, RejectsMalformedInput) {
   const std::string good = SpecToText(SpecGenerator(FuzzProfile{}).Generate(5));
+  // fuzz-1-0 (FuzzProfile seed 1, index 0) holds a collusion record.
+  const std::string colluding =
+      SpecToText(SpecGenerator(FuzzProfile{}).Generate(0));
+  const std::string max_u64 = "18446744073709551615";
 
   struct Case {
     const char* label;
@@ -213,6 +217,35 @@ TEST(SpecTextTest, RejectsMalformedInput) {
          const size_t eol = t.find('\n', pos);
          return t.replace(pos, eol - pos, "feedback_push_delta nan");
        }(), "feedback_push_delta must be finite"},
+      // Regression: these crashed the parser. A huge declared profile
+      // count was reserved up front, a huge profile run wrapped the
+      // declared-count check, and a 'graph' record after 'collusion'
+      // left the group table sized for zero nodes.
+      {"huge declared profile count", [&] {
+         std::string t = colluding;
+         const size_t pos = t.find("\nprofiles ") + 1;
+         const size_t eol = t.find('\n', pos);
+         return t.replace(pos, eol - pos, "profiles " + max_u64);
+       }(), "profile count exceeds"},
+      {"huge last profile run", [&] {
+         std::string t = colluding;
+         const size_t pos = t.rfind("\nprofile ") + 9;  // the run's count
+         return t.replace(pos, t.find(' ', pos) - pos, max_u64);
+       }(), "profile runs exceed"},
+      {"graph record after collusion", [&] {
+         std::string t = colluding;
+         const size_t pos = t.find("\ngraph ") + 1;
+         const size_t len = t.find('\n', pos) + 1 - pos;
+         const std::string graph = t.substr(pos, len);
+         t.erase(pos, len);
+         return t.insert(t.find('\n', t.find("\ncollusion ") + 1) + 1,
+                         graph);
+       }(), "'collusion' before the 'graph' record"},
+      {"second graph record", [&] {
+         std::string t = colluding;
+         const size_t pos = t.find("\ngraph ") + 1;
+         return t.insert(pos, t.substr(pos, t.find('\n', pos) + 1 - pos));
+       }(), "more than one 'graph' record"},
   };
   for (const Case& c : cases) {
     Result<GeneratedScenario> decoded = SpecFromText(c.text);
