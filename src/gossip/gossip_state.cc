@@ -3,57 +3,16 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 #include <string>
 
 namespace dgt {
 
 namespace {
 
-constexpr uint32_t kNoColumn = std::numeric_limits<uint32_t>::max();
-
 // Whether (y, g, c) can start a push-sum run: every channel finite and
 // the gossip weight non-negative.
 bool ValidStart(double y, double g, double c) {
   return std::isfinite(y) && std::isfinite(g) && std::isfinite(c) && g >= 0.0;
-}
-
-// v + scale * row as a 2-way sorted-column merge (entries that cancel to
-// exact zero on every channel are dropped, keeping rows minimal).
-SparseVectorRow MergeScaled(const SparseVectorRow& v,
-                            const SparseVectorRow& row, double scale) {
-  const bool use_count = !v.c.empty() || !row.c.empty();
-  SparseVectorRow out;
-  out.cols.reserve(v.cols.size() + row.cols.size());
-  out.y.reserve(v.cols.size() + row.cols.size());
-  out.g.reserve(v.cols.size() + row.cols.size());
-  if (use_count) out.c.reserve(v.cols.size() + row.cols.size());
-  size_t ia = 0, ib = 0;
-  while (ia < v.cols.size() || ib < row.cols.size()) {
-    uint32_t ca = ia < v.cols.size() ? v.cols[ia] : UINT32_MAX;
-    uint32_t cb = ib < row.cols.size() ? row.cols[ib] : UINT32_MAX;
-    uint32_t j = ca < cb ? ca : cb;
-    double ay = 0.0, ag = 0.0, ac = 0.0;
-    if (ca == j) {
-      ay += v.y[ia];
-      ag += v.g[ia];
-      if (!v.c.empty()) ac += v.c[ia];
-      ++ia;
-    }
-    if (cb == j) {
-      ay += row.y[ib] * scale;
-      ag += row.g[ib] * scale;
-      if (!row.c.empty()) ac += row.c[ib] * scale;
-      ++ib;
-    }
-    if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
-      out.cols.push_back(j);
-      out.y.push_back(ay);
-      out.g.push_back(ag);
-      if (use_count) out.c.push_back(ac);
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -109,94 +68,118 @@ Status ValidateSparseRows(uint32_t num_nodes,
 
 // --- Asynchronous interface --------------------------------------------
 
-SparseVectorGossipPolicy::Share SparseVectorGossipPolicy::Split(Value& v,
-                                                                uint32_t k) {
+VectorGossipPolicy::Share VectorGossipPolicy::Split(Value& v, uint32_t k) {
   const double inv = 1.0 / (static_cast<double>(k) + 1.0);
-  auto snap = std::make_shared<const SparseVectorRow>(std::move(v));
-  // The kept share: the same immutable snapshot scaled down, materialised
-  // as the node's new resident row.
-  v = MergeScaled(SparseVectorRow(), *snap, inv);
-  return Share{std::move(snap), inv};
+  auto sent = std::make_shared<const Value>(v);
+  for (std::vector<double>* channel : {&v.y, &v.g, &v.c}) {
+    for (double& x : *channel) x = 0.0 + x * inv;
+  }
+  return Share{std::move(sent), inv};
 }
 
-void SparseVectorGossipPolicy::Absorb(Value& v, const Share& s) {
-  v = MergeScaled(v, *s.row, s.scale);
+void VectorGossipPolicy::Absorb(Value& v, const Share& s) {
+  const double scale = s.scale;
+  const Value& row = *s.row;
+  for (size_t j = 0; j < v.y.size(); ++j) {
+    v.y[j] = (0.0 + v.y[j]) + row.y[j] * scale;
+    v.g[j] = (0.0 + v.g[j]) + row.g[j] * scale;
+  }
+  for (size_t j = 0; j < v.c.size(); ++j) {
+    v.c[j] = (0.0 + v.c[j]) + row.c[j] * scale;
+  }
 }
 
-bool SparseVectorGossipPolicy::HasWeight(const Value& v) {
+bool VectorGossipPolicy::HasWeight(const Value& v) {
   for (double g : v.g) {
     if (g != 0.0) return true;
   }
   return false;
 }
 
-SparseVectorGossipPolicy::Snapshot SparseVectorGossipPolicy::TakeSnapshot(
+VectorGossipPolicy::Snapshot VectorGossipPolicy::TakeSnapshot(
     const Value& v) {
-  Snapshot snap;
-  snap.cols = v.cols;
-  snap.r.resize(v.cols.size());
-  for (size_t j = 0; j < v.cols.size(); ++j) {
-    snap.r[j] = v.g[j] != 0.0 ? v.y[j] / v.g[j] : kRatioSentinel;
-  }
-  if (!v.c.empty()) {
-    snap.rc.resize(v.cols.size());
-    for (size_t j = 0; j < v.cols.size(); ++j) {
-      snap.rc[j] = v.g[j] != 0.0 ? v.c[j] / v.g[j] : kRatioSentinel;
+  auto ratios = [&v](const std::vector<double>& num) {
+    std::vector<double> r(num.size());
+    for (size_t j = 0; j < num.size(); ++j) {
+      r[j] = v.g[j] != 0.0 ? num[j] / v.g[j] : kRatioSentinel;
     }
-  }
-  return snap;
+    return r;
+  };
+  return Snapshot{ratios(v.y), ratios(v.c)};
 }
 
-double SparseVectorGossipPolicy::Distance(const Snapshot& a,
-                                          const Snapshot& b) {
-  // Two-pointer union walk; a column present on one side only means the
-  // other side sat at the sentinel when its snapshot was taken.
-  constexpr double sentinel = kRatioSentinel;
-  const bool use_count = !a.rc.empty() || !b.rc.empty();
+double VectorGossipPolicy::Distance(const Snapshot& a, const Snapshot& b) {
+  const bool use_count = !a.rc.empty();
   double l1 = 0.0;
-  size_t ia = 0, ib = 0;
-  while (ia < a.cols.size() || ib < b.cols.size()) {
-    uint32_t ca = ia < a.cols.size() ? a.cols[ia] : UINT32_MAX;
-    uint32_t cb = ib < b.cols.size() ? b.cols[ib] : UINT32_MAX;
-    double ra = sentinel, rb = sentinel;
-    double rca = sentinel, rcb = sentinel;
-    if (ca <= cb) {
-      ra = a.r[ia];
-      if (!a.rc.empty()) rca = a.rc[ia];
-    }
-    if (cb <= ca) {
-      rb = b.r[ib];
-      if (!b.rc.empty()) rcb = b.rc[ib];
-    }
-    l1 += std::fabs(rb - ra);
-    if (use_count) l1 += std::fabs(rcb - rca);
-    if (ca <= cb) ++ia;
-    if (cb <= ca) ++ib;
+  for (size_t j = 0; j < a.r.size(); ++j) {
+    l1 += std::fabs(b.r[j] - a.r[j]);
+    if (use_count) l1 += std::fabs(b.rc[j] - a.rc[j]);
   }
   return l1;
 }
 
+std::vector<VectorGossipPolicy::Value> VectorGossipPolicy::FromSparse(
+    std::vector<SparseVectorRow> rows, bool use_count) {
+  const size_t n = rows.size();
+  std::vector<Value> out(n);
+  for (size_t i = 0; i < n; ++i) {
+    Value& v = out[i];
+    v.y.assign(n, 0.0);
+    v.g.assign(n, 0.0);
+    if (use_count) v.c.assign(n, 0.0);
+    const SparseVectorRow& row = rows[i];
+    for (size_t k = 0; k < row.cols.size(); ++k) {
+      v.y[row.cols[k]] = row.y[k];
+      v.g[row.cols[k]] = row.g[k];
+      if (use_count) v.c[row.cols[k]] = row.c[k];
+    }
+    rows[i] = SparseVectorRow();
+  }
+  return out;
+}
+
+SparseVectorRow VectorGossipPolicy::ToSparse(const Value& v) {
+  const bool use_count = !v.c.empty();
+  auto present = [&](size_t j) {
+    return v.y[j] != 0.0 || v.g[j] != 0.0 || (use_count && v.c[j] != 0.0);
+  };
+  size_t nnz = 0;
+  for (size_t j = 0; j < v.y.size(); ++j) nnz += present(j) ? 1 : 0;
+  SparseVectorRow row;
+  row.cols.reserve(nnz);
+  row.y.reserve(nnz);
+  row.g.reserve(nnz);
+  if (use_count) row.c.reserve(nnz);
+  for (size_t j = 0; j < v.y.size(); ++j) {
+    if (!present(j)) continue;
+    row.cols.push_back(static_cast<uint32_t>(j));
+    row.y.push_back(v.y[j]);
+    row.g.push_back(v.g[j]);
+    if (use_count) row.c.push_back(v.c[j]);
+  }
+  return row;
+}
+
 // --- Synchronous interface ---------------------------------------------
 
-SparseVectorGossipPolicy::SparseVectorGossipPolicy(
+VectorGossipPolicy::VectorGossipPolicy(
     const std::vector<SparseVectorRow>& init, bool use_count)
     : use_count_(use_count),
       refs_(init.size()),
       replay_refs_(init.size(), 0),
-      prev_nnz_(init.size(), 0),
+      row_nnz_(init.size(), 0),
       merged_nnz_(init.size(), 0) {
-  for (const SparseVectorRow& row : init) total_nnz_ += row.nnz();
+  for (size_t i = 0; i < init.size(); ++i) {
+    row_nnz_[i] = init[i].nnz();
+    total_nnz_ += row_nnz_[i];
+  }
   peak_nnz_ = total_nnz_;
 }
 
-void SparseVectorGossipPolicy::BeginStep(const StepPlan& plan,
-                                         const std::vector<uint8_t>& stopped,
-                                         const std::vector<Value>& state) {
-  const size_t n = state.size();
-  for (size_t i = 0; i < n; ++i) {
-    prev_nnz_[i] = state[i].nnz();
-    replay_refs_[i] = 0;
-  }
+void VectorGossipPolicy::BeginStep(const StepPlan& plan,
+                                   const std::vector<uint8_t>& stopped) {
+  const size_t n = stopped.size();
+  std::fill(replay_refs_.begin(), replay_refs_.end(), 0);
   for (size_t i = 0; i < n; ++i) {
     if (stopped[i]) continue;
     for (const PlanEntry& e : plan.inbox[i]) ++replay_refs_[e.sender];
@@ -206,129 +189,87 @@ void SparseVectorGossipPolicy::BeginStep(const StepPlan& plan,
   }
 }
 
-MergeOutcome SparseVectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
-                                             std::vector<Value>& state,
-                                             Value& out, Scratch& scratch) {
+VectorGossipPolicy::Value VectorGossipPolicy::AcquireRow(size_t n) {
+  {
+    MutexLock lock(pool_mu_);
+    if (!pool_.empty()) {
+      Value row = std::move(pool_.back());
+      pool_.pop_back();
+      return row;
+    }
+  }
+  Value row;
+  row.y.resize(n);
+  row.g.resize(n);
+  if (use_count_) row.c.resize(n);
+  return row;
+}
+
+void VectorGossipPolicy::ReleaseRow(Value& row) {
+  MutexLock lock(pool_mu_);
+  pool_.push_back(std::move(row));
+}
+
+MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
+                                       std::vector<Value>& state, Value& out,
+                                       Scratch& scratch) {
   assert(!plan.inbox[i].empty());
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
   constexpr double sentinel = kRatioSentinel;
   const size_t n = state.size();
-  std::vector<MergeCursor>& cursors = scratch.cursors;
-  cursors.clear();
-  size_t inbox_nnz = 0;
-  bool all_full = true;
+  std::vector<std::pair<const Value*, double>>& inbox = scratch.inbox;
+  inbox.clear();
   for (const PlanEntry& e : plan.inbox[i]) {
     const double inv =
         1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
-    const double scale = static_cast<double>(e.shares) * inv;
-    const SparseVectorRow& src = state[e.sender];
-    cursors.push_back({&src, 0, scale, e.sender == i});
-    inbox_nnz += src.nnz();
-    all_full = all_full && src.nnz() == n;
+    inbox.emplace_back(&state[e.sender], static_cast<double>(e.shares) * inv);
   }
-  const MergeCursor* self = nullptr;
-  for (const MergeCursor& cur : cursors) {
-    if (cur.is_self) self = &cur;
-  }
-  // The merged row has at most one entry per column of the union.
-  const size_t capacity = std::min(n, inbox_nnz);
-  out.cols.reserve(capacity);
-  out.y.reserve(capacity);
-  out.g.reserve(capacity);
-  if (use_count) out.c.reserve(capacity);
+  out = AcquireRow(n);
+  // Node i's kept share puts its own row in its inbox, so no other merge
+  // releases that row before this one ends.
+  const Value& old = state[i];
 
   double l1_change = 0.0;
   bool has_weight = false;
-  // Finishes merged column j from its summed channels and the node's old
-  // entry there (`in_old` false: the node held none). eq. (7) terms: ratio
-  // term, then count term. Columns outside the merged set contribute
-  // exact zeros (sentinel minus sentinel), so skipping them leaves the L1
-  // sum bit-identical to a dense walk. The previous ratio comes from the
-  // kept share's source row — the node's own old state.
-  auto finish_column = [&](uint32_t j, double ay, double ag, double ac,
-                           bool in_old, double old_y, double old_g,
-                           double old_c) {
-    double r = ag != 0.0 ? ay / ag : sentinel;
-    double prev = (in_old && old_g != 0.0) ? old_y / old_g : sentinel;
+  uint64_t nnz = 0;
+  for (size_t j = 0; j < n; ++j) {
+    double ay = 0.0, ag = 0.0, ac = 0.0;
+    for (const auto& [src, scale] : inbox) {
+      ay += src->y[j] * scale;
+      ag += src->g[j] * scale;
+      if (use_count) ac += src->c[j] * scale;
+    }
+    // eq. (7) terms: ratio term, then count term.
+    const double r = ag != 0.0 ? ay / ag : sentinel;
+    const double prev = old.g[j] != 0.0 ? old.y[j] / old.g[j] : sentinel;
     l1_change += std::fabs(r - prev);
     if (use_count) {
-      double rc = ag != 0.0 ? ac / ag : sentinel;
-      double prev_c = (in_old && old_g != 0.0) ? old_c / old_g : sentinel;
+      const double rc = ag != 0.0 ? ac / ag : sentinel;
+      const double prev_c =
+          old.g[j] != 0.0 ? old.c[j] / old.g[j] : sentinel;
       l1_change += std::fabs(rc - prev_c);
+      out.c[j] = ac;
     }
     if (ag != 0.0) has_weight = true;
-    if (ay != 0.0 || ag != 0.0 || ac != 0.0) {
-      out.cols.push_back(j);
-      out.y.push_back(ay);
-      out.g.push_back(ag);
-      if (use_count) out.c.push_back(ac);
-    }
-  };
-
-  if (all_full) {
-    // Every inbox row holds columns 0..n-1, so column j sits at index j of
-    // every row: walk by index, adding contributions in cursor order.
-    for (uint32_t j = 0; j < n; ++j) {
-      double ay = 0.0, ag = 0.0, ac = 0.0;
-      for (const MergeCursor& cur : cursors) {
-        ay += cur.src->y[j] * cur.scale;
-        ag += cur.src->g[j] * cur.scale;
-        if (use_count) ac += cur.src->c[j] * cur.scale;
-      }
-      if (self != nullptr) {
-        finish_column(j, ay, ag, ac, true, self->src->y[j], self->src->g[j],
-                      use_count ? self->src->c[j] : 0.0);
-      } else {
-        finish_column(j, ay, ag, ac, false, 0.0, 0.0, 0.0);
-      }
-    }
-  } else {
-    // k-way sorted-column walk: each step takes the smallest column under
-    // any cursor.
-    while (true) {
-      uint32_t jmin = kNoColumn;
-      for (const MergeCursor& cur : cursors) {
-        if (cur.pos < cur.src->cols.size()) {
-          jmin = std::min(jmin, cur.src->cols[cur.pos]);
-        }
-      }
-      if (jmin == kNoColumn) break;
-      double ay = 0.0, ag = 0.0, ac = 0.0;
-      double old_y = 0.0, old_g = 0.0, old_c = 0.0;
-      bool in_old = false;
-      for (MergeCursor& cur : cursors) {
-        if (cur.pos < cur.src->cols.size() &&
-            cur.src->cols[cur.pos] == jmin) {
-          ay += cur.src->y[cur.pos] * cur.scale;
-          ag += cur.src->g[cur.pos] * cur.scale;
-          if (use_count) ac += cur.src->c[cur.pos] * cur.scale;
-          if (cur.is_self) {
-            in_old = true;
-            old_y = cur.src->y[cur.pos];
-            old_g = cur.src->g[cur.pos];
-            if (use_count) old_c = cur.src->c[cur.pos];
-          }
-          ++cur.pos;
-        }
-      }
-      finish_column(jmin, ay, ag, ac, in_old, old_y, old_g, old_c);
-    }
+    if (ay != 0.0 || ag != 0.0 || ac != 0.0) ++nnz;
+    out.y[j] = ay;
+    out.g[j] = ag;
   }
-  merged_nnz_[i] = out.nnz();
+  merged_nnz_[i] = nnz;
 
   // Release previous-step rows whose last consumer was this merge
   // (acq_rel: the release must observe every consumer's reads).
   for (const PlanEntry& e : plan.inbox[i]) {
     if (refs_[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      state[e.sender] = SparseVectorRow();
+      ReleaseRow(state[e.sender]);
     }
   }
   return {l1_change, has_weight};
 }
 
-void SparseVectorGossipPolicy::EndStep(const StepPlan& plan,
-                                       const std::vector<uint8_t>& stopped) {
+void VectorGossipPolicy::EndStep(const StepPlan& plan,
+                                 const std::vector<uint8_t>& stopped) {
   // A threaded merge's instantaneous footprint can transiently exceed
   // this replay by the rows still queued for release; the eager releases
   // in Merge keep that slack to the in-flight shard set.
@@ -337,8 +278,12 @@ void SparseVectorGossipPolicy::EndStep(const StepPlan& plan,
     total_nnz_ += merged_nnz_[i];
     peak_nnz_ = std::max(peak_nnz_, total_nnz_);
     for (const PlanEntry& e : plan.inbox[i]) {
-      if (--replay_refs_[e.sender] == 0) total_nnz_ -= prev_nnz_[e.sender];
+      if (--replay_refs_[e.sender] == 0) total_nnz_ -= row_nnz_[e.sender];
     }
+  }
+  // Phase C installs every running node's merged row.
+  for (size_t i = 0; i < stopped.size(); ++i) {
+    if (!stopped[i]) row_nnz_[i] = merged_nnz_[i];
   }
 }
 

@@ -1,7 +1,7 @@
 // Value policies for the push-sum executors: the per-node state, how it
 // splits and merges, and the convergence metric. Each executor is written
-// once and instantiated per policy — scalar (paper variants 1/2) and CSR
-// sparse rows (vector variants 3/4):
+// once and instantiated per policy — scalar (paper variants 1/2) and one
+// dense row per node (vector variants 3/4):
 //   PushSumRun (gossip/push_sum.h) — synchronous rounds; each receiver
 //     folds its whole inbox at once through Merge.
 //   AsyncEventEngine (net/async_engine.h) — event-driven; shares arrive
@@ -9,9 +9,9 @@
 //
 // Asynchronous interface (static):
 //   Value / Share / Snapshot — node-resident mass, an in-flight message
-//     (sparse shares alias one immutable snapshot of the sender's row,
-//     freed when the last receiver absorbs it), and what the convergence
-//     test compares across firings.
+//     (a vector share holds one copy of the sender's row, freed when the
+//     last receiver absorbs it), and what the convergence test compares
+//     across firings.
 //   Split(v, k) — split v into k+1 equal shares; v keeps one, the
 //     returned Share is sent. Absorb(v, s) — merge an arriving share.
 //   HasWeight(v) — any gossip weight present (the evidence gate).
@@ -23,7 +23,7 @@
 // Synchronous interface (on an instance, which carries the run's
 // count-channel switch and bookkeeping):
 //   Scratch — per-shard merge workspace.
-//   BeginStep(plan, stopped, state) — after push generation.
+//   BeginStep(plan, stopped) — after push generation.
 //   Merge(i, plan, state, out, scratch) -> MergeOutcome — fold receiver
 //     i's inbox (ascending-sender order) into `out` and measure the change
 //     from i's current state; called concurrently for distinct receivers.
@@ -37,9 +37,11 @@
 #include <cmath>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "common/thread_annotations.h"
 #include "gossip/options.h"
 #include "gossip/step_plan.h"
 #include "graph/graph.h"
@@ -85,8 +87,7 @@ class ScalarGossipPolicy {
 
   explicit ScalarGossipPolicy(bool use_count) : use_count_(use_count) {}
 
-  void BeginStep(const StepPlan&, const std::vector<uint8_t>&,
-                 const std::vector<Value>&) {}
+  void BeginStep(const StepPlan&, const std::vector<uint8_t>&) {}
   void EndStep(const StepPlan&, const std::vector<uint8_t>&) {}
 
   // Each share is the sender's channel divided by k+1; a kept-self entry
@@ -129,11 +130,13 @@ class ScalarGossipPolicy {
   bool use_count_;
 };
 
-// --- CSR sparse row (vector variants 3/4) ------------------------------
+// --- Dense vector row (vector variants 3/4) ----------------------------
 
-// One node's gossip state: sorted sparse (column, y, g[, c]) entries.
-// `cols` is strictly increasing; `y`/`g` (and `c` when the count channel
-// is active) are parallel to it. Absent columns hold exact zeros.
+// Sorted sparse (column, y, g[, c]) entries: the vector executors' input
+// format and AsyncSparsePushSum's raw output (their state is dense, see
+// VectorGossipPolicy). `cols` is strictly increasing; `y`/`g` (and `c`
+// when the count channel is active) are parallel to it. Absent columns
+// hold exact zeros.
 struct SparseVectorRow {
   std::vector<uint32_t> cols;
   std::vector<double> y;
@@ -150,7 +153,7 @@ Status ValidateScalarInputs(uint32_t num_nodes, const std::vector<double>& y0,
                             const std::vector<double>& g0,
                             const std::vector<double>& c0);
 
-// Checks an initial state for the sparse executors: exactly num_nodes
+// Checks an initial state for the vector executors: exactly num_nodes
 // rows; per row, y/g parallel to cols, c parallel iff use_count, cols
 // strictly increasing in [0, num_nodes), every value finite and no
 // negative gossip weight.
@@ -158,59 +161,64 @@ Status ValidateSparseRows(uint32_t num_nodes,
                           const std::vector<SparseVectorRow>& rows,
                           bool use_count);
 
-class SparseVectorGossipPolicy {
+class VectorGossipPolicy {
  public:
-  using Value = SparseVectorRow;
+  // One node's state: y, g and, with the count channel, c, each holding
+  // one entry per column 0..N-1 (c is empty without the count channel).
+  // A row released after its last reader is empty.
+  struct Value {
+    std::vector<double> y, g, c;
+  };
+  // An in-flight message: `scale` times a copy of the sender's row taken
+  // at the firing, shared by all of that firing's targets.
   struct Share {
-    std::shared_ptr<const SparseVectorRow> row;
+    std::shared_ptr<const Value> row;
     double scale = 0.0;
   };
-  // Sorted sparse estimate: ratio per present column; absent columns are
-  // implicitly at kRatioSentinel.
+  // Per-column ratios y/g and, with the count channel, c/g
+  // (kRatioSentinel where g == 0).
   struct Snapshot {
-    std::vector<uint32_t> cols;
-    std::vector<double> r;
-    std::vector<double> rc;  // parallel to cols when the count channel runs
-  };
-  struct MergeCursor {
-    const SparseVectorRow* src;
-    size_t pos;
-    double scale;
-    bool is_self;
+    std::vector<double> r, rc;
   };
   struct Scratch {
-    std::vector<MergeCursor> cursors;
+    // (source row, shares * 1/(k+1)) per entry of the inbox being merged.
+    std::vector<std::pair<const Value*, double>> inbox;
   };
 
+  // The kept row becomes 0.0 + v * 1/(k+1) per entry, so a -0.0 input
+  // entry turns into +0.0 as it does in the synchronous merge.
   static Share Split(Value& v, uint32_t k);
+  // v becomes (0.0 + v) + scale * row per entry.
   static void Absorb(Value& v, const Share& s);
   static bool HasWeight(const Value& v);
   static Snapshot TakeSnapshot(const Value& v);
-  // Two-pointer union walk; a column present in only one snapshot
-  // contributes |ratio - kRatioSentinel| exactly like the synchronous
-  // merge's L1 test.
+  // eq. (7)'s L1 distance, per column the ratio term then the count term.
   static double Distance(const Snapshot& a, const Snapshot& b);
   static double ConvergenceThreshold(uint32_t n, double xi) {
     return static_cast<double>(n) * xi;
   }
 
-  // `init` is the run's initial state (its nonzeros seed the peak).
-  SparseVectorGossipPolicy(const std::vector<SparseVectorRow>& init,
-                           bool use_count);
+  // The one conversion each way. FromSparse scatters rows checked by
+  // ValidateSparseRows into dense ones of length rows.size(), freeing
+  // each input row once it is copied. ToSparse keeps the columns whose
+  // channels are not all zero.
+  static std::vector<Value> FromSparse(std::vector<SparseVectorRow> rows,
+                                       bool use_count);
+  static SparseVectorRow ToSparse(const Value& v);
+
+  // `init` is the run's initial state, before FromSparse: its entries
+  // seed the nonzero count.
+  VectorGossipPolicy(const std::vector<SparseVectorRow>& init,
+                     bool use_count);
 
   // Counts each previous-step row's consumers for the release below.
-  void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped,
-                 const std::vector<Value>& state);
-  // Folds receiver i's inbox into `out`, reserved once at min(N, sum of
-  // inbox row sizes): each cursor scales its source row by
-  // shares * 1/(k+1). When every inbox row holds all N columns the merge
-  // walks columns 0..N-1 by index; otherwise a k-way sorted-column walk
-  // visits only the nonzeros contributed. Either way each column adds its
-  // contributions in cursor order, so both walks give the same bits. The
-  // change is eq. (7)'s L1 sum over the merged columns (absent columns
-  // contribute exact zeros). Releases every previous-step row whose last
-  // consumer this merge was, so the live footprint stays near one copy of
-  // the state.
+  void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
+  // Folds receiver i's inbox into `out`, a row taken from the pool of
+  // released rows (or a new one): each column sums its inbox rows scaled
+  // by shares * 1/(k+1), in inbox order. The change is eq. (7)'s L1 sum
+  // over all N columns against i's own previous row. Puts every
+  // previous-step row whose last consumer this merge was back into the
+  // pool, so the live rows stay near one copy of the state.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
                      std::vector<Value>& state, Value& out, Scratch& scratch);
   // Replays the serial receiver-order bookkeeping (merge row i, then
@@ -218,18 +226,28 @@ class SparseVectorGossipPolicy {
   // identical at every thread count.
   void EndStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
 
-  // Peak sum of per-row nonzeros across all steps.
+  // Peak over all steps of the live rows' nonzero entries: the input
+  // rows' entries, then each merged row's columns whose channels are not
+  // all zero. A count of entries, not bytes: every live row holds N
+  // columns.
   uint64_t peak_state_nonzeros() const { return peak_nnz_; }
 
  private:
+  Value AcquireRow(size_t n);
+  void ReleaseRow(Value& row);
+
   bool use_count_;
   // Live consumer counts of previous-step rows (atomic: under a threaded
   // merge the last consumer may finish on any worker).
   std::vector<std::atomic<uint32_t>> refs_;
   std::vector<uint32_t> replay_refs_;
-  std::vector<uint64_t> prev_nnz_, merged_nnz_;
+  // Nonzero entries of each node's installed row and of its merged row.
+  std::vector<uint64_t> row_nnz_, merged_nnz_;
   uint64_t total_nnz_ = 0;
   uint64_t peak_nnz_ = 0;
+  // Released rows, all of length N, for the next merges to reuse.
+  Mutex pool_mu_;
+  std::vector<Value> pool_ DGT_GUARDED_BY(pool_mu_);
 };
 
 }  // namespace dgt

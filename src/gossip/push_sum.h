@@ -126,7 +126,7 @@ class PushSumRun {
                   options_.packet_loss_prob, rng_, plan_);
     stats_.gossip_messages += plan_.pushes;
     for (NodeId i = 0; i < n; ++i) node_sent_[i] += plan_.k_used[i];
-    policy_.BeginStep(plan_, stopped_, state_);
+    policy_.BeginStep(plan_, stopped_);
 
     // Phase B: each iteration writes only receiver i's own slots.
     pool_.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
@@ -200,7 +200,7 @@ class PushSumRun {
   }
 
   // Membership changes, made between steps. Only the scalar policy is
-  // driven with them: the sparse one sizes its per-node bookkeeping once.
+  // driven with them: the vector one sizes its per-node bookkeeping once.
   // Before every step a node without neighbours must be stopped, or
   // Phase A would draw its targets from an empty list.
   //

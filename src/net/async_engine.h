@@ -29,7 +29,7 @@
 //
 // tests/gossip/parallel_equivalence_test.cc asserts EXPECT_EQ on doubles
 // and on message/event counts across T in {1, 2, 4, 8} for the scalar and
-// sparse policies and the dense reference policy of the tests.
+// vector policies and the dense reference policy of the tests.
 
 #ifndef DGT_NET_ASYNC_ENGINE_H_
 #define DGT_NET_ASYNC_ENGINE_H_

@@ -34,7 +34,7 @@ Result<AsyncGossipResult> AsyncPushSum::Run(const std::vector<double>& y0,
   return res;
 }
 
-// --- CSR sparse --------------------------------------------------------
+// --- Vector --------------------------------------------------------------
 
 AsyncSparsePushSum::AsyncSparsePushSum(const Graph* graph,
                                        AsyncGossipOptions options)
@@ -44,12 +44,18 @@ Result<AsyncSparseGossipResult> AsyncSparsePushSum::Run(
     std::vector<SparseVectorRow> init, bool use_count) {
   DGT_RETURN_IF_ERROR(ValidateSparseRows(graph_->num_nodes(), init, use_count));
 
-  AsyncEventEngine<SparseVectorGossipPolicy> engine(graph_, options_);
-  DGT_ASSIGN_OR_RETURN(auto out, engine.Run(std::move(init)));
+  AsyncEventEngine<VectorGossipPolicy> engine(graph_, options_);
+  DGT_ASSIGN_OR_RETURN(
+      auto out,
+      engine.Run(VectorGossipPolicy::FromSparse(std::move(init), use_count)));
 
   AsyncSparseGossipResult res;
   res.stats = out.stats;
-  res.rows = std::move(out.values);
+  res.rows.reserve(out.values.size());
+  for (VectorGossipPolicy::Value& v : out.values) {
+    res.rows.push_back(VectorGossipPolicy::ToSparse(v));
+    v = VectorGossipPolicy::Value();
+  }
   return res;
 }
 

@@ -4,9 +4,10 @@
 // (net/async_engine.h), one per value policy (gossip/gossip_state.h):
 //
 //   AsyncPushSum        — scalar state (paper variants 1/2).
-//   AsyncSparsePushSum  — CSR sparse rows (variant 4 / GCLR at scale),
-//                         the production path for event-driven
-//                         reputation aggregation.
+//   AsyncSparsePushSum  — one dense row per node, fed and reported as
+//                         sparse rows (variant 4 / GCLR at scale), the
+//                         production path for event-driven reputation
+//                         aggregation.
 //
 // Each node runs a local timer that fires every push_period (with
 // per-firing jitter); on firing it splits its gossip state into k_i + 1
@@ -52,7 +53,10 @@ class AsyncPushSum {
 };
 
 struct AsyncSparseGossipResult {
-  // Final node-resident rows (cols sorted; y/g, and c when use_count).
+  // Final node-resident rows (cols sorted; y/g, and c when use_count),
+  // holding the columns whose channels are not all zero. An all-zero
+  // entry of the input is dropped too, even on a node that never fired
+  // or received (an isolated node, say).
   std::vector<SparseVectorRow> rows;
   AsyncEngineStats stats;
 };

@@ -2,9 +2,10 @@
 // oracle. Every node holds length-N y, g (and c) vectors, and every merge
 // walks all N columns, so the code is simple enough to trust by reading.
 // It runs through both executors — RunPushSum (synchronous Merge) and
-// AsyncEventEngine (Split/Absorb/...) — and the sparse policy must match
-// it bit for bit: absent sparse columns are exact zeros, and both walk
-// columns in ascending order with the same accumulation order.
+// AsyncEventEngine (Split/Absorb/...) — and the library's vector policy,
+// fed sparse rows, must match it bit for bit: absent sparse columns are
+// exact zeros, and both walk columns in ascending order with the same
+// accumulation order.
 
 #ifndef DGT_TESTS_DENSE_VECTOR_POLICY_H_
 #define DGT_TESTS_DENSE_VECTOR_POLICY_H_
@@ -73,8 +74,7 @@ class DenseVectorPolicy {
 
   explicit DenseVectorPolicy(bool use_count) : use_count_(use_count) {}
 
-  void BeginStep(const StepPlan&, const std::vector<uint8_t>&,
-                 const std::vector<Value>&) {}
+  void BeginStep(const StepPlan&, const std::vector<uint8_t>&) {}
   void EndStep(const StepPlan&, const std::vector<uint8_t>&) {}
 
   // Sums shares * 1/(k+1) of every sender's whole vector, then eq. (7)

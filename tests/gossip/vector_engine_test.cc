@@ -1,6 +1,5 @@
 #include "gossip/sparse_vector_engine.h"
 
-#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -122,8 +121,10 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
   }
   GossipOptions o = Opts(1e-6);
   o.packet_loss_prob = 0.2;  // loss must not destroy mass either
-  std::vector<SparseVectorRow> state = SparseFromDense(y0, g0);
-  SparseVectorGossipPolicy policy(state, /*use_count=*/false);
+  const std::vector<SparseVectorRow> init = SparseFromDense(y0, g0);
+  VectorGossipPolicy policy(init, /*use_count=*/false);
+  std::vector<VectorGossipPolicy::Value> state =
+      VectorGossipPolicy::FromSparse(init, /*use_count=*/false);
   ThreadPool pool(1);
   auto r = RunPushSum(
       g, o, PushCounts(g.Adjacency(), o.strategy, o.k_rounding), policy,
@@ -131,20 +132,19 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
   ASSERT_TRUE(r.ok());
   ASSERT_TRUE(r->converged);
   std::vector<double> y_after(n, 0.0), g_after(n, 0.0);
-  for (const SparseVectorRow& row : state) {
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      y_after[row.cols[k]] += row.y[k];
-      g_after[row.cols[k]] += row.g[k];
+  for (const VectorGossipPolicy::Value& row : state) {
+    ASSERT_EQ(row.y.size(), n);
+    for (uint32_t j = 0; j < n; ++j) {
+      y_after[j] += row.y[j];
+      g_after[j] += row.g[j];
     }
   }
   for (uint32_t j = 0; j < n; ++j) {
     EXPECT_NEAR(y_after[j], col_sum[j], 1e-9) << "column " << j;
     EXPECT_NEAR(g_after[j], static_cast<double>(n), 1e-9) << "column " << j;
-    for (const SparseVectorRow& row : state) {
-      auto it = std::lower_bound(row.cols.begin(), row.cols.end(), j);
-      ASSERT_TRUE(it != row.cols.end() && *it == j);
-      const size_t k = static_cast<size_t>(it - row.cols.begin());
-      EXPECT_NEAR(row.y[k] / row.g[k], col_sum[j] / n, 0.05);
+    for (const VectorGossipPolicy::Value& row : state) {
+      ASSERT_GT(row.g[j], 0.0) << "column " << j;
+      EXPECT_NEAR(row.y[j] / row.g[j], col_sum[j] / n, 0.05);
     }
   }
 }
