@@ -134,7 +134,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   // Churn is active for the first churn_steps steps; after that the run
   // ends once every node has stopped.
   while (run.steps() < gossip_.max_steps &&
-         (run.steps() <= churn_.churn_steps || !run.AllStopped())) {
+         (run.steps() < churn_.churn_steps || !run.AllStopped())) {
     if (run.steps() < churn_.churn_steps) {
       for (NodeId u = 0; u < alive.size(); ++u) {
         if (alive[u] && churn_rng.NextBernoulli(churn_.leave_prob)) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "gossip/scalar_engine.h"
 #include "test_util.h"
 #include "gtest/gtest.h"
 
@@ -114,6 +115,25 @@ TEST(ChurnEngineTest, NoChurnMatchesPlainGossip) {
   for (NodeId i = 0; i < 80; ++i) {
     EXPECT_NEAR(r->ratios[i], truth, 5e-3);
   }
+}
+
+TEST(ChurnEngineTest, StoppedOverlayWithoutChurnTakesNoStep) {
+  // An edgeless pair is stopped before the first step. With churn off
+  // from the start there is nothing left to run, so the churn loop must
+  // take no step, exactly as ScalarPushSum takes none.
+  Graph g(2);
+  const std::vector<double> y0 = {0.25, 0.75};
+  const std::vector<double> g0(2, 1.0);
+  ChurnOptions no_churn;
+  no_churn.churn_steps = 0;
+  auto scalar = ScalarPushSum(&g, Gossip(1e-6)).Run(y0, g0);
+  auto churn = ChurnPushSum(g, Gossip(1e-6), no_churn).Run(y0, g0);
+  ASSERT_TRUE(scalar.ok());
+  ASSERT_TRUE(churn.ok());
+  EXPECT_EQ(scalar->steps, 0u);
+  EXPECT_EQ(churn->steps, scalar->steps);
+  EXPECT_TRUE(churn->converged);
+  EXPECT_EQ(churn->gossip_messages, 0u);
 }
 
 TEST(ChurnEngineTest, DeparturesHandOverMass) {
