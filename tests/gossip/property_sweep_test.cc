@@ -299,13 +299,13 @@ TEST_P(SmallNetworkSweep, ScalarEnginesConverge) {
   EXPECT_EQ(scalar->steps, linked() ? 6u : 0u);
   ASSERT_EQ(scalar->ratios.size(), n());
 
-  // Churn off from the first step. Its step count is not pinned: its
-  // loop runs one step more than the scalar engine's on a stopped input.
+  // Churn off from the first step: the same steps as the scalar engine.
   ChurnOptions no_churn;
   no_churn.churn_steps = 0;
   auto churn = ChurnPushSum(g, options, no_churn).Run(y0, g0);
   ASSERT_TRUE(churn.ok()) << churn.status().ToString();
   EXPECT_TRUE(churn->converged);
+  EXPECT_EQ(churn->steps, scalar->steps);
   EXPECT_EQ(churn->live_count, n());
   ASSERT_EQ(churn->ratios.size(), n());
 
