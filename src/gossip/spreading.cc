@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "gossip/step_plan.h"
+#include "graph/graph_stats.h"
 
 namespace dgt {
 
@@ -18,6 +19,10 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
   std::vector<uint8_t> informed(n, 0), next(n, 0);
   informed[source] = 1;
   uint32_t count = 1;
+  // Only the source's connected component can ever be informed.
+  const std::vector<uint32_t> component = ConnectedComponents(graph);
+  const uint32_t reachable = static_cast<uint32_t>(
+      std::count(component.begin(), component.end(), component[source]));
 
   // Differential push counts are degree-based and static.
   const std::vector<uint32_t> k =
@@ -35,7 +40,7 @@ Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
                        protocol == SpreadProtocol::kPushPull;
 
   SpreadingResult res;
-  while (count < n && res.rounds < max_rounds) {
+  while (count < reachable && res.rounds < max_rounds) {
     ++res.rounds;
     std::copy(informed.begin(), informed.end(), next.begin());
 

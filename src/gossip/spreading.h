@@ -22,13 +22,15 @@ enum class SpreadProtocol {
 
 struct SpreadingResult {
   uint32_t rounds = 0;
-  bool completed = false;  // all nodes informed before max_rounds
+  bool completed = false;  // all nodes informed within max_rounds
   uint64_t messages = 0;
   uint32_t informed = 0;  // final count
 };
 
-// Spreads a rumor from `source` until every node is informed (or
-// max_rounds). Fails with InvalidArgument if source is out of range.
+// Spreads a rumor from `source` until every node of its connected
+// component is informed (or max_rounds); `completed` reports whether that
+// is every node of the graph. Fails with InvalidArgument if source is out
+// of range.
 Result<SpreadingResult> SpreadRumor(const Graph& graph, NodeId source,
                                     SpreadProtocol protocol,
                                     uint32_t max_rounds, Rng& rng);

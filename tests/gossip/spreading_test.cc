@@ -118,5 +118,29 @@ TEST(SpreadingTest, SourceAloneOnEdgelessGraphNeverCompletes) {
   EXPECT_EQ(r->informed, 1u);
 }
 
+TEST(SpreadingTest, StopsOnceTheSourceComponentIsInformed) {
+  // Nothing outside the source's component can ever be informed, so the
+  // run ends there instead of spending every remaining round.
+  Graph pair(2);
+  Graph split(3);  // 0 - 1, node 2 unreachable
+  ASSERT_TRUE(split.AddEdge(0, 1).ok());
+  for (auto proto : {SpreadProtocol::kPush, SpreadProtocol::kDifferentialPush,
+                     SpreadProtocol::kPull, SpreadProtocol::kPushPull}) {
+    Rng rng(9);
+    auto r = SpreadRumor(pair, 0, proto, 50, rng);
+    ASSERT_TRUE(r.ok());
+    EXPECT_EQ(r->rounds, 0u);
+    EXPECT_EQ(r->messages, 0u);
+    EXPECT_FALSE(r->completed);
+    EXPECT_EQ(r->informed, 1u);
+
+    auto s = SpreadRumor(split, 0, proto, 50, rng);
+    ASSERT_TRUE(s.ok());
+    EXPECT_EQ(s->rounds, 1u);
+    EXPECT_FALSE(s->completed);
+    EXPECT_EQ(s->informed, 2u);
+  }
+}
+
 }  // namespace
 }  // namespace dgt
