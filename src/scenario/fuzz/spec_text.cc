@@ -5,7 +5,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -300,6 +299,10 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
         return line.Error("unknown topology '" + topo + "'");
       }
       DGT_ASSIGN_OR_RETURN(scenario.graph.num_nodes, line.U32());
+      if (scenario.graph.num_nodes > kMaxArchiveNodes) {
+        return line.Error("graph node count exceeds the archive bound of " +
+                          std::to_string(kMaxArchiveNodes));
+      }
       DGT_ASSIGN_OR_RETURN(scenario.graph.degree, line.U32());
       DGT_ASSIGN_OR_RETURN(scenario.graph.seed, line.U64());
     } else if (key == "num_rounds") {
@@ -397,9 +400,10 @@ Result<GeneratedScenario> SpecFromText(const std::string& text) {
       DGT_ASSIGN_OR_RETURN(spec.seed, line.U64());
     } else if (key == "profiles") {
       DGT_ASSIGN_OR_RETURN(uint64_t count, line.U64());
-      // One profile per node, and node ids are 32-bit.
-      if (count > std::numeric_limits<uint32_t>::max()) {
-        return line.Error("profile count exceeds the node id range");
+      // One profile per node.
+      if (count > kMaxArchiveNodes) {
+        return line.Error("profile count exceeds the archive bound of " +
+                          std::to_string(kMaxArchiveNodes));
       }
       declared_profiles = count;
       spec.profiles.clear();

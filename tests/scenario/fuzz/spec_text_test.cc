@@ -302,5 +302,46 @@ TEST(SpecTextTest, RejectsInconsistentStructure) {
   }
 }
 
+TEST(SpecTextTest, RejectsArchivesAboveTheNodeBound) {
+  // A self-consistent archive of 65,537 cooperative nodes: every record
+  // agrees, but the declared size alone would have the parser allocate
+  // per-node tables before validation, so it is refused up front.
+  const SpecGenerator generator(FuzzProfile{});
+  GeneratedScenario big;
+  bool found = false;
+  for (uint64_t index = 0; index < 64 && !found; ++index) {
+    big = generator.Generate(index);
+    found = !big.spec.collusion.has_value();
+  }
+  ASSERT_TRUE(found);
+  const uint32_t n = 65537;
+  big.graph.num_nodes = n;
+  PeerProfile coop;
+  coop.strategy = PeerStrategy::kCooperative;
+  coop.service_quality = 1.0;
+  big.spec.profiles.assign(n, coop);
+  const std::string text = SpecToText(big);
+
+  Result<GeneratedScenario> decoded = SpecFromText(text);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("node count exceeds"),
+            std::string::npos)
+      << decoded.status().message();
+
+  // The same archive with the graph record at the bound but the profile
+  // count above it is refused at the 'profiles' record.
+  std::string t = text;
+  const size_t pos = t.find("\ngraph ") + 1;
+  const size_t count = t.find(' ', t.find(' ', pos) + 1) + 1;
+  t.replace(count, t.find(' ', count) - count, "65536");
+  decoded = SpecFromText(t);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("profile count exceeds"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
 }  // namespace
 }  // namespace dgt
