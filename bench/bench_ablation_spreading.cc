@@ -4,6 +4,10 @@
 // sizes. Differential push must stay within O((log2 N)^2) like push-pull,
 // without ever identifying power nodes.
 //
+// Exits 1 if a differential-push or push-pull trial reaches the round cap,
+// or if differential push is not faster than plain push at every N (the
+// bench/ablation_spreading_smoke ctest).
+//
 // Also ablates the k_i rounding rule (floor / round / ceil) by comparing
 // spreading under modified push counts.
 
@@ -47,16 +51,31 @@ int main() {
       "== Theorem 5.1 check: rumor-spreading rounds on PA graphs ==");
   table.SetHeader({"N", "(log2 N)^2", "push", "diff push", "pull",
                    "push-pull"});
+  bool theorem_holds = true;
   for (uint32_t n : kSizes) {
     Graph g = bench_util::MustMakePaGraph(n, 2, 42);
     double l2 = std::log2(static_cast<double>(n));
-    table.AddRow({std::to_string(n), FormatDouble(l2 * l2, 1),
-                  Cell(MeanRounds(g, SpreadProtocol::kPush, 100)),
-                  Cell(MeanRounds(g, SpreadProtocol::kDifferentialPush, 200)),
-                  Cell(MeanRounds(g, SpreadProtocol::kPull, 300)),
-                  Cell(MeanRounds(g, SpreadProtocol::kPushPull, 400))});
+    const double push = MeanRounds(g, SpreadProtocol::kPush, 100);
+    const double diff = MeanRounds(g, SpreadProtocol::kDifferentialPush, 200);
+    const double pull = MeanRounds(g, SpreadProtocol::kPull, 300);
+    const double push_pull = MeanRounds(g, SpreadProtocol::kPushPull, 400);
+    table.AddRow({std::to_string(n), FormatDouble(l2 * l2, 1), Cell(push),
+                  Cell(diff), Cell(pull), Cell(push_pull)});
+    // A negative mean stands for a trial that reached the cap; plain push
+    // may, differential push must still finish and beat it.
+    if (diff < 0 || push_pull < 0) {
+      std::cerr << "N=" << n << ": differential push or push-pull reached "
+                << kMaxRounds << " rounds\n";
+      theorem_holds = false;
+    } else if (push >= 0 && diff >= push) {
+      std::cerr << "N=" << n << ": differential push (" << diff
+                << " rounds) is not faster than plain push (" << push
+                << ")\n";
+      theorem_holds = false;
+    }
   }
   bench_util::Emit(table, "ablation_spreading.csv");
+  if (!theorem_holds) return 1;
   std::cout
       << "shape check: differential push tracks push-pull (both within a\n"
          "small multiple of (log2 N)^2) while plain push degrades with N —\n"
