@@ -105,7 +105,7 @@ int main(int argc, char** argv) {
                "slowly with N;\nnormal push blows up at large N, so the "
                "speedup column rises with N.\n\n";
 
-  // Variant 4 at scale, sparse engine (AggregationOptions defaults).
+  // Variant 4 at scale, vector engine (AggregationOptions defaults).
   std::vector<uint32_t> gclr_sizes = {500, 1000, 2000, 5000};
   if (smoke) gclr_sizes = {200};
   if (large) gclr_sizes.push_back(10000);

@@ -1,6 +1,6 @@
 // Phase A of the two-phase deterministic gossip step shared by the
 // synchronous step loop (PushSumRun in gossip/push_sum.h, which the
-// scalar, sparse vector and churn engines drive) and the potential
+// scalar, vector and churn engines drive) and the potential
 // tracker.
 //
 // A synchronous push-sum step factors cleanly into

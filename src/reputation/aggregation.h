@@ -48,9 +48,9 @@ struct GossipRunStats : PushSumStats {
   GossipRunStats(const PushSumStats& run, uint64_t peak_nnz)
       : PushSumStats(run), peak_state_nonzeros(peak_nnz) {}
 
-  // Peak live nonzeros of the sparse vector engine's state (the vector
-  // variants and GossipTrust; 0 for the scalar variants). The large-N
-  // benches report it.
+  // Peak live nonzero entries of the vector engine's state (the vector
+  // variants and GossipTrust; 0 for the scalar variants), a count rather
+  // than bytes. The large-N benches report it.
   uint64_t peak_state_nonzeros = 0;
 };
 
@@ -90,10 +90,11 @@ Result<VectorAggregationResult> AggregateGclrVector(
     const Graph& graph, const TrustMatrix& trust,
     const AggregationOptions& options);
 
-// Variant 4's initial gossip state for the sparse engine: node i's sorted
-// opinion row (y = t_ij, count = 1) with the one-hot weight g = 1 merged
-// in at the diagonal. Used by AggregateGclrVector's sparse path; exposed
-// so benchmarks and tests seed the engine exactly like production.
+// Variant 4's initial gossip state for the vector engines: node i's
+// sorted opinion row (y = t_ij, count = 1) with the one-hot weight g = 1
+// merged in at the diagonal. Used by AggregateGclrVector and its
+// event-driven twin; exposed so benchmarks and tests seed the engine
+// exactly like production.
 std::vector<SparseVectorRow> BuildGclrSparseInit(const TrustMatrix& trust);
 
 // --- Event-driven aggregation (paper §3 network model) -----------------

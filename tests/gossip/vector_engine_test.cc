@@ -12,7 +12,7 @@
 #include "gtest/gtest.h"
 
 // Per-target vector push-sum (eq. 7): limits, the count channel, mass
-// conservation and message accounting. These run on the sparse engine,
+// conservation and message accounting. These run on SparseVectorPushSum,
 // the library's only vector engine; where a case needs the raw y/g state
 // it calls the executor directly.
 
