@@ -1,7 +1,6 @@
 #include "gossip/gossip_state.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <string>
 
@@ -14,6 +13,9 @@ namespace {
 bool ValidStart(double y, double g, double c) {
   return std::isfinite(y) && std::isfinite(g) && std::isfinite(c) && g >= 0.0;
 }
+
+// num/g, or kRatioSentinel where the column holds no gossip weight.
+double Ratio(double num, double g) { return g != 0.0 ? num / g : kRatioSentinel; }
 
 }  // namespace
 
@@ -78,43 +80,34 @@ VectorGossipPolicy::Share VectorGossipPolicy::Split(Value& v, uint32_t k) {
 }
 
 void VectorGossipPolicy::Absorb(Value& v, const Share& s) {
-  const double scale = s.scale;
   const Value& row = *s.row;
   for (size_t j = 0; j < v.y.size(); ++j) {
-    v.y[j] = (0.0 + v.y[j]) + row.y[j] * scale;
-    v.g[j] = (0.0 + v.g[j]) + row.g[j] * scale;
+    v.y[j] = (0.0 + v.y[j]) + row.y[j] * s.scale;
+    v.g[j] = (0.0 + v.g[j]) + row.g[j] * s.scale;
   }
   for (size_t j = 0; j < v.c.size(); ++j) {
-    v.c[j] = (0.0 + v.c[j]) + row.c[j] * scale;
+    v.c[j] = (0.0 + v.c[j]) + row.c[j] * s.scale;
   }
 }
 
 bool VectorGossipPolicy::HasWeight(const Value& v) {
-  for (double g : v.g) {
-    if (g != 0.0) return true;
-  }
-  return false;
+  return std::any_of(v.g.begin(), v.g.end(), [](double g) { return g != 0.0; });
 }
 
 VectorGossipPolicy::Snapshot VectorGossipPolicy::TakeSnapshot(
     const Value& v) {
-  auto ratios = [&v](const std::vector<double>& num) {
-    std::vector<double> r(num.size());
-    for (size_t j = 0; j < num.size(); ++j) {
-      r[j] = v.g[j] != 0.0 ? num[j] / v.g[j] : kRatioSentinel;
-    }
-    return r;
-  };
-  return Snapshot{ratios(v.y), ratios(v.c)};
+  Snapshot snap;
+  snap.reserve(v.y.size() + v.c.size());
+  for (size_t j = 0; j < v.y.size(); ++j) {
+    snap.push_back(Ratio(v.y[j], v.g[j]));
+    if (!v.c.empty()) snap.push_back(Ratio(v.c[j], v.g[j]));
+  }
+  return snap;
 }
 
 double VectorGossipPolicy::Distance(const Snapshot& a, const Snapshot& b) {
-  const bool use_count = !a.rc.empty();
   double l1 = 0.0;
-  for (size_t j = 0; j < a.r.size(); ++j) {
-    l1 += std::fabs(b.r[j] - a.r[j]);
-    if (use_count) l1 += std::fabs(b.rc[j] - a.rc[j]);
-  }
+  for (size_t k = 0; k < a.size(); ++k) l1 += std::fabs(b[k] - a[k]);
   return l1;
 }
 
@@ -126,12 +119,12 @@ std::vector<VectorGossipPolicy::Value> VectorGossipPolicy::FromSparse(
     Value& v = out[i];
     v.y.assign(n, 0.0);
     v.g.assign(n, 0.0);
-    if (use_count) v.c.assign(n, 0.0);
-    const SparseVectorRow& row = rows[i];
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      v.y[row.cols[k]] = row.y[k];
-      v.g[row.cols[k]] = row.g[k];
-      if (use_count) v.c[row.cols[k]] = row.c[k];
+    v.c.assign(use_count ? n : 0, 0.0);
+    for (size_t k = 0; k < rows[i].cols.size(); ++k) {
+      const uint32_t j = rows[i].cols[k];
+      v.y[j] = rows[i].y[k];
+      v.g[j] = rows[i].g[k];
+      if (use_count) v.c[j] = rows[i].c[k];
     }
     rows[i] = SparseVectorRow();
   }
@@ -140,22 +133,14 @@ std::vector<VectorGossipPolicy::Value> VectorGossipPolicy::FromSparse(
 
 SparseVectorRow VectorGossipPolicy::ToSparse(const Value& v) {
   const bool use_count = !v.c.empty();
-  auto present = [&](size_t j) {
-    return v.y[j] != 0.0 || v.g[j] != 0.0 || (use_count && v.c[j] != 0.0);
-  };
-  size_t nnz = 0;
-  for (size_t j = 0; j < v.y.size(); ++j) nnz += present(j) ? 1 : 0;
   SparseVectorRow row;
-  row.cols.reserve(nnz);
-  row.y.reserve(nnz);
-  row.g.reserve(nnz);
-  if (use_count) row.c.reserve(nnz);
   for (size_t j = 0; j < v.y.size(); ++j) {
-    if (!present(j)) continue;
+    const double c = use_count ? v.c[j] : 0.0;
+    if (v.y[j] == 0.0 && v.g[j] == 0.0 && c == 0.0) continue;
     row.cols.push_back(static_cast<uint32_t>(j));
     row.y.push_back(v.y[j]);
     row.g.push_back(v.g[j]);
-    if (use_count) row.c.push_back(v.c[j]);
+    if (use_count) row.c.push_back(c);
   }
   return row;
 }
@@ -170,7 +155,7 @@ VectorGossipPolicy::VectorGossipPolicy(
       row_nnz_(init.size(), 0),
       merged_nnz_(init.size(), 0) {
   for (size_t i = 0; i < init.size(); ++i) {
-    row_nnz_[i] = init[i].nnz();
+    row_nnz_[i] = init[i].cols.size();
     total_nnz_ += row_nnz_[i];
   }
   peak_nnz_ = total_nnz_;
@@ -178,45 +163,21 @@ VectorGossipPolicy::VectorGossipPolicy(
 
 void VectorGossipPolicy::BeginStep(const StepPlan& plan,
                                    const std::vector<uint8_t>& stopped) {
-  const size_t n = stopped.size();
   std::fill(replay_refs_.begin(), replay_refs_.end(), 0);
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < stopped.size(); ++i) {
     if (stopped[i]) continue;
     for (const PlanEntry& e : plan.inbox[i]) ++replay_refs_[e.sender];
   }
-  for (size_t i = 0; i < n; ++i) {
+  for (size_t i = 0; i < stopped.size(); ++i) {
     refs_[i].store(replay_refs_[i], std::memory_order_relaxed);
   }
-}
-
-VectorGossipPolicy::Value VectorGossipPolicy::AcquireRow(size_t n) {
-  {
-    MutexLock lock(pool_mu_);
-    if (!pool_.empty()) {
-      Value row = std::move(pool_.back());
-      pool_.pop_back();
-      return row;
-    }
-  }
-  Value row;
-  row.y.resize(n);
-  row.g.resize(n);
-  if (use_count_) row.c.resize(n);
-  return row;
-}
-
-void VectorGossipPolicy::ReleaseRow(Value& row) {
-  MutexLock lock(pool_mu_);
-  pool_.push_back(std::move(row));
 }
 
 MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
                                        std::vector<Value>& state, Value& out,
                                        Scratch& scratch) {
-  assert(!plan.inbox[i].empty());
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
-  constexpr double sentinel = kRatioSentinel;
   const size_t n = state.size();
   std::vector<std::pair<const Value*, double>>& inbox = scratch.inbox;
   inbox.clear();
@@ -225,13 +186,22 @@ MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
         1.0 / (static_cast<double>(plan.k_used[e.sender]) + 1.0);
     inbox.emplace_back(&state[e.sender], static_cast<double>(e.shares) * inv);
   }
-  out = AcquireRow(n);
+  {
+    MutexLock lock(pool_mu_);
+    if (!pool_.empty()) {
+      out = std::move(pool_.back());
+      pool_.pop_back();
+    }
+  }
+  // A pooled row already holds N columns; a new one is sized here.
+  out.y.resize(n);
+  out.g.resize(n);
+  out.c.resize(use_count ? n : 0);
   // Node i's kept share puts its own row in its inbox, so no other merge
   // releases that row before this one ends.
   const Value& old = state[i];
 
-  double l1_change = 0.0;
-  bool has_weight = false;
+  MergeOutcome m;
   uint64_t nnz = 0;
   for (size_t j = 0; j < n; ++j) {
     double ay = 0.0, ag = 0.0, ac = 0.0;
@@ -241,31 +211,27 @@ MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
       if (use_count) ac += src->c[j] * scale;
     }
     // eq. (7) terms: ratio term, then count term.
-    const double r = ag != 0.0 ? ay / ag : sentinel;
-    const double prev = old.g[j] != 0.0 ? old.y[j] / old.g[j] : sentinel;
-    l1_change += std::fabs(r - prev);
+    m.change += std::fabs(Ratio(ay, ag) - Ratio(old.y[j], old.g[j]));
     if (use_count) {
-      const double rc = ag != 0.0 ? ac / ag : sentinel;
-      const double prev_c =
-          old.g[j] != 0.0 ? old.c[j] / old.g[j] : sentinel;
-      l1_change += std::fabs(rc - prev_c);
+      m.change += std::fabs(Ratio(ac, ag) - Ratio(old.c[j], old.g[j]));
       out.c[j] = ac;
     }
-    if (ag != 0.0) has_weight = true;
+    m.has_weight = m.has_weight || ag != 0.0;
     if (ay != 0.0 || ag != 0.0 || ac != 0.0) ++nnz;
     out.y[j] = ay;
     out.g[j] = ag;
   }
   merged_nnz_[i] = nnz;
 
-  // Release previous-step rows whose last consumer was this merge
-  // (acq_rel: the release must observe every consumer's reads).
+  // Return previous-step rows whose last consumer was this merge to the
+  // pool (acq_rel: the release must observe every consumer's reads).
   for (const PlanEntry& e : plan.inbox[i]) {
     if (refs_[e.sender].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      ReleaseRow(state[e.sender]);
+      MutexLock lock(pool_mu_);
+      pool_.push_back(std::move(state[e.sender]));
     }
   }
-  return {l1_change, has_weight};
+  return m;
 }
 
 void VectorGossipPolicy::EndStep(const StepPlan& plan,
@@ -278,12 +244,11 @@ void VectorGossipPolicy::EndStep(const StepPlan& plan,
     total_nnz_ += merged_nnz_[i];
     peak_nnz_ = std::max(peak_nnz_, total_nnz_);
     for (const PlanEntry& e : plan.inbox[i]) {
-      if (--replay_refs_[e.sender] == 0) total_nnz_ -= row_nnz_[e.sender];
+      if (--replay_refs_[e.sender] == 0) {
+        total_nnz_ -= row_nnz_[e.sender];
+        row_nnz_[e.sender] = merged_nnz_[e.sender];  // phase C installs it
+      }
     }
-  }
-  // Phase C installs every running node's merged row.
-  for (size_t i = 0; i < stopped.size(); ++i) {
-    if (!stopped[i]) row_nnz_[i] = merged_nnz_[i];
   }
 }
 

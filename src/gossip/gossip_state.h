@@ -132,18 +132,14 @@ class ScalarGossipPolicy {
 
 // --- Dense vector row (vector variants 3/4) ----------------------------
 
-// Sorted sparse (column, y, g[, c]) entries: the vector executors' input
-// format and AsyncSparsePushSum's raw output (their state is dense, see
-// VectorGossipPolicy). `cols` is strictly increasing; `y`/`g` (and `c`
-// when the count channel is active) are parallel to it. Absent columns
-// hold exact zeros.
+// Sorted sparse (column, y, g[, c]) entries, the vector executors' input
+// and output format: `cols` is strictly increasing; `y`/`g` (and `c` with
+// the count channel) are parallel to it. Absent columns hold exact zeros.
 struct SparseVectorRow {
   std::vector<uint32_t> cols;
   std::vector<double> y;
   std::vector<double> g;
   std::vector<double> c;  // empty when the count channel is unused
-
-  size_t nnz() const { return cols.size(); }
 };
 
 // Checks an initial state for the scalar executors: y0 and g0 hold
@@ -163,62 +159,55 @@ Status ValidateSparseRows(uint32_t num_nodes,
 
 class VectorGossipPolicy {
  public:
-  // One node's state: y, g and, with the count channel, c, each holding
-  // one entry per column 0..N-1 (c is empty without the count channel).
-  // A row released after its last reader is empty.
+  // One node's state: y, g and, with the count channel, c, each of
+  // length N (c is empty without it). A released row is empty.
   struct Value {
     std::vector<double> y, g, c;
   };
-  // An in-flight message: `scale` times a copy of the sender's row taken
-  // at the firing, shared by all of that firing's targets.
+  // `scale` times a copy of the sender's row, shared by one firing's
+  // targets.
   struct Share {
     std::shared_ptr<const Value> row;
     double scale = 0.0;
   };
-  // Per-column ratios y/g and, with the count channel, c/g
-  // (kRatioSentinel where g == 0).
-  struct Snapshot {
-    std::vector<double> r, rc;
-  };
+  // Per column y/g, then c/g with the count channel (kRatioSentinel
+  // where g == 0).
+  using Snapshot = std::vector<double>;
   struct Scratch {
     // (source row, shares * 1/(k+1)) per entry of the inbox being merged.
     std::vector<std::pair<const Value*, double>> inbox;
   };
 
-  // The kept row becomes 0.0 + v * 1/(k+1) per entry, so a -0.0 input
-  // entry turns into +0.0 as it does in the synchronous merge.
+  // Split keeps 0.0 + v / (k+1) and Absorb adds as (0.0 + v) + scale *
+  // row, per entry, so a -0.0 input entry turns into +0.0 as in Merge.
   static Share Split(Value& v, uint32_t k);
-  // v becomes (0.0 + v) + scale * row per entry.
   static void Absorb(Value& v, const Share& s);
   static bool HasWeight(const Value& v);
   static Snapshot TakeSnapshot(const Value& v);
-  // eq. (7)'s L1 distance, per column the ratio term then the count term.
+  // eq. (7)'s L1 distance, in snapshot order.
   static double Distance(const Snapshot& a, const Snapshot& b);
   static double ConvergenceThreshold(uint32_t n, double xi) {
     return static_cast<double>(n) * xi;
   }
 
   // The one conversion each way. FromSparse scatters rows checked by
-  // ValidateSparseRows into dense ones of length rows.size(), freeing
-  // each input row once it is copied. ToSparse keeps the columns whose
-  // channels are not all zero.
+  // ValidateSparseRows, freeing each once copied; ToSparse keeps the
+  // columns whose channels are not all zero.
   static std::vector<Value> FromSparse(std::vector<SparseVectorRow> rows,
                                        bool use_count);
   static SparseVectorRow ToSparse(const Value& v);
 
-  // `init` is the run's initial state, before FromSparse: its entries
-  // seed the nonzero count.
+  // `init` is the run's state before FromSparse; its entries seed the
+  // nonzero count.
   VectorGossipPolicy(const std::vector<SparseVectorRow>& init,
                      bool use_count);
 
   // Counts each previous-step row's consumers for the release below.
   void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
-  // Folds receiver i's inbox into `out`, a row taken from the pool of
-  // released rows (or a new one): each column sums its inbox rows scaled
-  // by shares * 1/(k+1), in inbox order. The change is eq. (7)'s L1 sum
-  // over all N columns against i's own previous row. Puts every
-  // previous-step row whose last consumer this merge was back into the
-  // pool, so the live rows stay near one copy of the state.
+  // Folds receiver i's inbox into `out`, a pooled row if one is free:
+  // each column sums its inbox rows scaled by shares * 1/(k+1), in inbox
+  // order, and adds its eq. (7) terms to the change. Returns every
+  // previous-step row whose last consumer this merge was to the pool.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
                      std::vector<Value>& state, Value& out, Scratch& scratch);
   // Replays the serial receiver-order bookkeeping (merge row i, then
@@ -226,16 +215,12 @@ class VectorGossipPolicy {
   // identical at every thread count.
   void EndStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
 
-  // Peak over all steps of the live rows' nonzero entries: the input
+  // Peak over all steps of the live rows' nonzero entries (the input
   // rows' entries, then each merged row's columns whose channels are not
-  // all zero. A count of entries, not bytes: every live row holds N
-  // columns.
+  // all zero). A count, not bytes: every live row holds N columns.
   uint64_t peak_state_nonzeros() const { return peak_nnz_; }
 
  private:
-  Value AcquireRow(size_t n);
-  void ReleaseRow(Value& row);
-
   bool use_count_;
   // Live consumer counts of previous-step rows (atomic: under a threaded
   // merge the last consumer may finish on any worker).

@@ -39,20 +39,17 @@ Result<SparseVectorGossipResult> SparseVectorPushSum::Run(
   const uint32_t n = graph_->num_nodes();
   DGT_RETURN_IF_ERROR(ValidateSparseRows(n, init, use_count));
 
-  SparseVectorGossipResult res;
+  VectorGossipPolicy policy(init, use_count);
+  std::vector<VectorGossipPolicy::Value> state =
+      VectorGossipPolicy::FromSparse(std::move(init), use_count);
   ThreadPool pool(options_.num_threads);
-  std::vector<VectorGossipPolicy::Value> state;
-  {
-    // Scoped, so the policy's pool of released rows is freed before the
-    // result is assembled.
-    VectorGossipPolicy policy(init, use_count);
-    state = VectorGossipPolicy::FromSparse(std::move(init), use_count);
-    DGT_ASSIGN_OR_RETURN(
-        PushSumStats stats,
-        RunPushSum(*graph_, options_, push_counts_, policy, state, pool));
-    static_cast<PushSumStats&>(res) = stats;
-    res.peak_state_nonzeros = policy.peak_state_nonzeros();
-  }
+  DGT_ASSIGN_OR_RETURN(
+      PushSumStats stats,
+      RunPushSum(*graph_, options_, push_counts_, policy, state, pool));
+
+  SparseVectorGossipResult res;
+  static_cast<PushSumStats&>(res) = stats;
+  res.peak_state_nonzeros = policy.peak_state_nonzeros();
 
   res.rows.resize(n);
   pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {

@@ -9,29 +9,21 @@
 // when sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi, followed by the same
 // announce/stop protocol as the scalar engine.
 //
-// Sparse in, dense inside: trust matrices are sparse (a node only holds
-// direct trust in the few peers it transacted with), so the input and
-// the result are sparse rows. But mass mixes across the overlay and the
-// rows fill in: variant 4 at N = 1,000 (perfbench's gclr_sync) peaks at
-// 1,160,500 nonzeros, about 1.16 N^2, and 91% of its merges read inboxes
-// whose rows already held all N columns. So each node's state is one
-// dense row (gossip/gossip_state.h): y, g and, with the count channel,
-// c, each of length N. A dense row costs 24 B per column with the count
-// channel (16 B without), where a full sparse row cost 28 B (20 B) with
-// its column index; the paper's N = 50,000 would still need ~60 GB.
-//
-// The receive side merges all of a step's contributions in one pass
-// (merge-on-receive): a walk over the N columns, each summing its inbox
-// rows in ascending-sender order. Released rows go back to a pool that
-// later merges reuse, so a run allocates rows only while its live row
-// count grows. Absent input columns are exact zeros, so the results are
-// bit-for-bit those of a run that keeps every row sparse; a dense
-// reference policy in tests/ checks that
+// Sparse in, dense inside: direct trust is sparse, so rows go in and come
+// out sparse, but mass mixes across the overlay and the rows fill in.
+// Variant 4 at N = 1,000 (perfbench's gclr_sync) peaks at 1,160,500
+// nonzeros, about 1.16 N^2, and 91% of its merges read inboxes whose rows
+// already held all N columns. So each node's state is one dense row
+// (VectorGossipPolicy, gossip/gossip_state.h): 24 B per column with the
+// count channel, against 28 B for a full sparse row with its column
+// index; one copy of the state at the paper's N = 50,000 is ~60 GB. Each
+// merge walks the N columns once (merge-on-receive), and released rows
+// go to a pool that later merges reuse. The results are bit-for-bit
+// those of the dense reference policy in tests/dense_vector_policy.h
 // (tests/gossip/sparse_vector_engine_test.cc).
 //
-// A front-end over RunPushSum (gossip/push_sum.h) with the vector value
-// policy: it checks inputs, converts the rows once each way and
-// assembles results.
+// A front-end over RunPushSum (gossip/push_sum.h): it checks inputs,
+// converts the rows once each way and assembles results.
 
 #ifndef DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_

@@ -53,10 +53,9 @@ class AsyncPushSum {
 };
 
 struct AsyncSparseGossipResult {
-  // Final node-resident rows (cols sorted; y/g, and c when use_count),
-  // holding the columns whose channels are not all zero. An all-zero
-  // entry of the input is dropped too, even on a node that never fired
-  // or received (an isolated node, say).
+  // Final node-resident rows (cols sorted; y/g, and c when use_count):
+  // the columns whose channels are not all zero, so an all-zero input
+  // entry is dropped even on a node that never fired (an isolated one).
   std::vector<SparseVectorRow> rows;
   AsyncEngineStats stats;
 };

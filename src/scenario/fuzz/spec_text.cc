@@ -14,6 +14,9 @@ namespace dgt {
 namespace {
 
 constexpr char kHeader[] = "dgt_scenario_spec 1";
+// Generated scenarios hold at most FuzzProfile::max_nodes (56) nodes; the
+// bound keeps an archive from sizing per-node tables before validation.
+constexpr uint32_t kMaxArchiveNodes = 1u << 16;
 
 std::string Fmt(double v) {
   char buf[64];

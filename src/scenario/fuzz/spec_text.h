@@ -11,19 +11,12 @@
 #ifndef DGT_SCENARIO_FUZZ_SPEC_TEXT_H_
 #define DGT_SCENARIO_FUZZ_SPEC_TEXT_H_
 
-#include <cstdint>
 #include <string>
 
 #include "common/result.h"
 #include "scenario/fuzz/spec_generator.h"
 
 namespace dgt {
-
-// Largest node count an archive may declare. Generated scenarios hold at
-// most FuzzProfile::max_nodes (56 by default) nodes; the bound stops a
-// malformed archive from sizing per-node tables without limit before the
-// spec is validated.
-inline constexpr uint32_t kMaxArchiveNodes = 1u << 16;
 
 // Serializes the scenario (overlay recipe + full spec). `comment`, if
 // non-empty, is embedded as '#' lines after the header — the archive
@@ -33,9 +26,8 @@ std::string SpecToText(const GeneratedScenario& scenario,
 
 // Strict parse: unknown keys, wrong token counts, malformed numbers,
 // truncated files, version mismatches and node or profile counts above
-// kMaxArchiveNodes are all InvalidArgument. The
-// decoded spec is additionally passed through ValidateScenarioSpec, so a
-// loaded archive is always runnable.
+// 65,536 are all InvalidArgument. The decoded spec is additionally passed
+// through ValidateScenarioSpec, so a loaded archive is always runnable.
 Result<GeneratedScenario> SpecFromText(const std::string& text);
 
 // File wrappers; IoError on filesystem failures.
