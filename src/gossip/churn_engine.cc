@@ -162,7 +162,7 @@ Result<ChurnGossipResult> ChurnPushSum::Run(const std::vector<double>& y0,
   res.ratios.assign(n, 0.0);
   res.alive = alive;
   for (NodeId i = 0; i < n; ++i) {
-    res.ratios[i] = policy.Ratio(mass[i].y, mass[i].g);
+    res.ratios[i] = GossipRatio(mass[i].y, mass[i].g);
     if (alive[i]) ++res.live_count;
   }
   return res;

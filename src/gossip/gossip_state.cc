@@ -14,9 +14,6 @@ bool ValidStart(double y, double g, double c) {
   return std::isfinite(y) && std::isfinite(g) && std::isfinite(c) && g >= 0.0;
 }
 
-// num/g, or kRatioSentinel where the column holds no gossip weight.
-double Ratio(double num, double g) { return g != 0.0 ? num / g : kRatioSentinel; }
-
 }  // namespace
 
 Status ValidateScalarInputs(uint32_t num_nodes, const std::vector<double>& y0,
@@ -99,8 +96,8 @@ VectorGossipPolicy::Snapshot VectorGossipPolicy::TakeSnapshot(
   Snapshot snap;
   snap.reserve(v.y.size() + v.c.size());
   for (size_t j = 0; j < v.y.size(); ++j) {
-    snap.push_back(Ratio(v.y[j], v.g[j]));
-    if (!v.c.empty()) snap.push_back(Ratio(v.c[j], v.g[j]));
+    snap.push_back(GossipRatio(v.y[j], v.g[j]));
+    if (!v.c.empty()) snap.push_back(GossipRatio(v.c[j], v.g[j]));
   }
   return snap;
 }
@@ -211,9 +208,11 @@ MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
       if (use_count) ac += src->c[j] * scale;
     }
     // eq. (7) terms: ratio term, then count term.
-    m.change += std::fabs(Ratio(ay, ag) - Ratio(old.y[j], old.g[j]));
+    m.change +=
+        std::fabs(GossipRatio(ay, ag) - GossipRatio(old.y[j], old.g[j]));
     if (use_count) {
-      m.change += std::fabs(Ratio(ac, ag) - Ratio(old.c[j], old.g[j]));
+      m.change +=
+          std::fabs(GossipRatio(ac, ag) - GossipRatio(old.c[j], old.g[j]));
       out.c[j] = ac;
     }
     m.has_weight = m.has_weight || ag != 0.0;

@@ -54,6 +54,12 @@ struct MergeOutcome {
   bool has_weight = false;  // any gossip weight in the merged state
 };
 
+// num / g, or kRatioSentinel where g == 0: the estimate that every
+// policy's snapshots and eq. (7) terms compare.
+inline double GossipRatio(double num, double g) {
+  return g != 0.0 ? num / g : kRatioSentinel;
+}
+
 // --- Scalar (paper variants 1/2: one value per node) -------------------
 
 class ScalarGossipPolicy {
@@ -79,7 +85,9 @@ class ScalarGossipPolicy {
     v.c += s.c;
   }
   static bool HasWeight(const Value& v) { return v.g != 0.0; }
-  static Snapshot TakeSnapshot(const Value& v) { return Ratio(v.y, v.g); }
+  static Snapshot TakeSnapshot(const Value& v) {
+    return GossipRatio(v.y, v.g);
+  }
   static double Distance(const Snapshot& a, const Snapshot& b) {
     return std::fabs(a - b);
   }
@@ -115,15 +123,13 @@ class ScalarGossipPolicy {
     }
     out = Value{acc_y, acc_g, acc_c};
     const Value& old = state[i];
-    double change = std::fabs(Ratio(acc_y, acc_g) - Ratio(old.y, old.g));
+    double change =
+        std::fabs(GossipRatio(acc_y, acc_g) - GossipRatio(old.y, old.g));
     if (use_count_) {
-      change += std::fabs(Ratio(acc_c, acc_g) - Ratio(old.c, old.g));
+      change +=
+          std::fabs(GossipRatio(acc_c, acc_g) - GossipRatio(old.c, old.g));
     }
     return {change, acc_g != 0.0};
-  }
-
-  static double Ratio(double num, double g) {
-    return g != 0.0 ? num / g : kRatioSentinel;
   }
 
  private:

@@ -33,7 +33,7 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
   auto record_trace = [&](const std::vector<Value>& s) {
     if (!options_.track_trace) return;
     std::vector<double> row(n);
-    for (NodeId i = 0; i < n; ++i) row[i] = policy.Ratio(s[i].y, s[i].g);
+    for (NodeId i = 0; i < n; ++i) row[i] = GossipRatio(s[i].y, s[i].g);
     res.trace.push_back(std::move(row));
   };
 
@@ -47,7 +47,7 @@ Result<GossipResult> ScalarPushSum::Run(const std::vector<double>& y0,
   res.weights.resize(n);
   res.counts.resize(n);
   for (NodeId i = 0; i < n; ++i) {
-    res.ratios[i] = policy.Ratio(state[i].y, state[i].g);
+    res.ratios[i] = GossipRatio(state[i].y, state[i].g);
     res.values[i] = state[i].y;
     res.weights[i] = state[i].g;
     res.counts[i] = state[i].c;
