@@ -109,25 +109,17 @@ TEST(SpreadingTest, MessagesCounted) {
   EXPECT_LE(r->messages, 100ull * r->rounds);
 }
 
-TEST(SpreadingTest, SourceAloneOnEdgelessGraphNeverCompletes) {
-  Graph g(5);
-  Rng rng(8);
-  auto r = SpreadRumor(g, 0, SpreadProtocol::kPushPull, 50, rng);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r->completed);
-  EXPECT_EQ(r->informed, 1u);
-}
-
 TEST(SpreadingTest, StopsOnceTheSourceComponentIsInformed) {
   // Nothing outside the source's component can ever be informed, so the
-  // run ends there instead of spending every remaining round.
-  Graph pair(2);
+  // run ends there, not completed, instead of spending every remaining
+  // round.
+  Graph edgeless(5);
   Graph split(3);  // 0 - 1, node 2 unreachable
   ASSERT_TRUE(split.AddEdge(0, 1).ok());
   for (auto proto : {SpreadProtocol::kPush, SpreadProtocol::kDifferentialPush,
                      SpreadProtocol::kPull, SpreadProtocol::kPushPull}) {
-    Rng rng(9);
-    auto r = SpreadRumor(pair, 0, proto, 50, rng);
+    Rng rng(8);
+    auto r = SpreadRumor(edgeless, 0, proto, 50, rng);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r->rounds, 0u);
     EXPECT_EQ(r->messages, 0u);
