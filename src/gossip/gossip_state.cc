@@ -130,14 +130,22 @@ std::vector<VectorGossipPolicy::Value> VectorGossipPolicy::FromSparse(
 
 SparseVectorRow VectorGossipPolicy::ToSparse(const Value& v) {
   const bool use_count = !v.c.empty();
+  auto present = [&](size_t j) {
+    return v.y[j] != 0.0 || v.g[j] != 0.0 || (use_count && v.c[j] != 0.0);
+  };
+  size_t nnz = 0;
+  for (size_t j = 0; j < v.y.size(); ++j) nnz += present(j) ? 1 : 0;
   SparseVectorRow row;
+  row.cols.reserve(nnz);
+  row.y.reserve(nnz);
+  row.g.reserve(nnz);
+  row.c.reserve(use_count ? nnz : 0);
   for (size_t j = 0; j < v.y.size(); ++j) {
-    const double c = use_count ? v.c[j] : 0.0;
-    if (v.y[j] == 0.0 && v.g[j] == 0.0 && c == 0.0) continue;
+    if (!present(j)) continue;
     row.cols.push_back(static_cast<uint32_t>(j));
     row.y.push_back(v.y[j]);
     row.g.push_back(v.g[j]);
-    if (use_count) row.c.push_back(c);
+    if (use_count) row.c.push_back(v.c[j]);
   }
   return row;
 }
@@ -215,7 +223,7 @@ MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
           std::fabs(GossipRatio(ac, ag) - GossipRatio(old.c[j], old.g[j]));
       out.c[j] = ac;
     }
-    m.has_weight = m.has_weight || ag != 0.0;
+    if (ag != 0.0) m.has_weight = true;
     if (ay != 0.0 || ag != 0.0 || ac != 0.0) ++nnz;
     out.y[j] = ay;
     out.g[j] = ag;
