@@ -180,11 +180,10 @@ void VectorGossipPolicy::BeginStep(const StepPlan& plan,
 
 MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
                                        std::vector<Value>& state, Value& out,
-                                       Scratch& scratch) {
+                                       Scratch& inbox) {
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
   const size_t n = state.size();
-  std::vector<std::pair<const Value*, double>>& inbox = scratch.inbox;
   inbox.clear();
   for (const PlanEntry& e : plan.inbox[i]) {
     const double inv =

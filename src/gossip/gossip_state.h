@@ -136,7 +136,7 @@ class ScalarGossipPolicy {
   bool use_count_;
 };
 
-// --- Dense vector row (vector variants 3/4) ----------------------------
+// --- Vector (paper variants 3/4: one row per node) --------------------
 
 // Sorted sparse (column, y, g[, c]) entries, the vector executors' input
 // and output format: `cols` is strictly increasing; `y`/`g` (and `c` with
@@ -179,10 +179,8 @@ class VectorGossipPolicy {
   // Per column y/g, then c/g with the count channel (kRatioSentinel
   // where g == 0).
   using Snapshot = std::vector<double>;
-  struct Scratch {
-    // (source row, shares * 1/(k+1)) per entry of the inbox being merged.
-    std::vector<std::pair<const Value*, double>> inbox;
-  };
+  // (source row, shares * 1/(k+1)) per entry of the inbox being merged.
+  using Scratch = std::vector<std::pair<const Value*, double>>;
 
   // Split keeps 0.0 + v / (k+1) and Absorb adds as (0.0 + v) + scale *
   // row, per entry, so a -0.0 input entry turns into +0.0 as in Merge.
@@ -215,7 +213,7 @@ class VectorGossipPolicy {
   // order, and adds its eq. (7) terms to the change. Returns every
   // previous-step row whose last consumer this merge was to the pool.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
-                     std::vector<Value>& state, Value& out, Scratch& scratch);
+                     std::vector<Value>& state, Value& out, Scratch& inbox);
   // Replays the serial receiver-order bookkeeping (merge row i, then
   // release the rows whose last consumer was i) so peak_state_nonzeros is
   // identical at every thread count.
