@@ -1,5 +1,6 @@
 #include "net/link_model.h"
 
+#include <cmath>
 #include <limits>
 #include <string>
 
@@ -7,12 +8,17 @@ namespace dgt {
 
 Result<LinkModel> LinkModel::Create(uint32_t num_nodes,
                                     const LinkModelOptions& options) {
-  if (options.access_latency_min < 0.0 ||
-      options.access_latency_max < options.access_latency_min) {
-    return Status::InvalidArgument("bad access latency range");
+  // An infinite latency puts infinite event times on the engines' heap,
+  // and a NaN jitter fails `jitter > 0` below and runs as no jitter.
+  for (double v : {options.access_latency_min, options.access_latency_max,
+                   options.backbone_latency, options.jitter}) {
+    if (!std::isfinite(v) || v < 0.0) {
+      return Status::InvalidArgument(
+          "latencies must be finite and non-negative");
+    }
   }
-  if (options.backbone_latency < 0.0 || options.jitter < 0.0) {
-    return Status::InvalidArgument("latencies must be non-negative");
+  if (options.access_latency_max < options.access_latency_min) {
+    return Status::InvalidArgument("bad access latency range");
   }
   Rng rng(options.seed);
   std::vector<double> access(num_nodes);

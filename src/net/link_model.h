@@ -28,7 +28,8 @@ struct LinkModelOptions {
 
 class LinkModel {
  public:
-  // Fails with InvalidArgument on negative latencies or min > max, and —
+  // Fails with InvalidArgument on a negative or non-finite latency or
+  // jitter, or min > max, and —
   // once the per-node access latencies are drawn — on any zero-latency
   // link: the asynchronous engines' conservative lookahead window is
   // bounded below by MinLatency(), and a zero lower bound degenerates it

@@ -23,6 +23,19 @@ TEST(LinkModelTest, RejectsBadOptions) {
   o = {};
   o.jitter = -0.1;
   EXPECT_FALSE(LinkModel::Create(5, o).ok());
+  // Regression: an infinite backbone, access maximum or jitter passed and
+  // then crashed the event-driven engine; a NaN jitter ran as no jitter.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double v : {inf, -inf, std::nan("")}) {
+    for (double LinkModelOptions::*field :
+         {&LinkModelOptions::access_latency_min,
+          &LinkModelOptions::access_latency_max,
+          &LinkModelOptions::backbone_latency, &LinkModelOptions::jitter}) {
+      o = {};
+      o.*field = v;
+      EXPECT_FALSE(LinkModel::Create(5, o).ok()) << "value " << v;
+    }
+  }
 }
 
 TEST(LinkModelTest, AccessLatencyWithinRange) {
