@@ -14,15 +14,15 @@
 //      can never receive events scheduled by events inside it — a firing
 //      at time t schedules nothing before t + L — so a window's event set
 //      is fixed before any of it executes;
-//   3. within a window, events are grouped by owner and each group runs
-//      serially in (time, seq) order — exactly the serial order projected
-//      onto that node — while groups execute concurrently across the
-//      thread pool;
-//   4. commits are canonical: after the window's barrier, groups are
-//      walked in ascending node id, summing counters and pushing the
-//      events they generated onto the heap, so heap seq assignment (and
-//      with it all future tie-breaks) is a pure function of the event
-//      history, never of thread scheduling;
+//   3. within a window, events are sorted into per-owner groups and each
+//      group runs serially in (time, seq) order — exactly the serial order
+//      projected onto that node — while shards of consecutive groups
+//      execute concurrently across the thread pool;
+//   4. commits are canonical: after the window's barrier, the shards'
+//      outputs are committed in shard order, which is ascending node id,
+//      summing counters and pushing the events they generated onto the
+//      heap, so heap seq assignment (and with it all future tie-breaks) is
+//      a pure function of the event history, never of thread scheduling;
 //   5. every random draw comes from a counter-based stream,
 //      Rng::StreamAt(node, per-node event counter), a pure function of
 //      (seed, node, counter) — no draw order to perturb.
@@ -38,6 +38,7 @@
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <utility>
 #include <vector>
 
@@ -122,9 +123,9 @@ class AsyncEventEngine {
     if (options_.convergence_rounds == 0) {
       return Status::InvalidArgument("convergence_rounds must be >= 1");
     }
-    // A NaN period puts NaN event times on the heap and leaves the window
-    // loop below with an empty window; a NaN jitter fails the
-    // `period_jitter > 0.0` test below and silently runs without jitter.
+    // A NaN period puts NaN event times on the heap; a NaN jitter fails
+    // the `period_jitter > 0.0` test below and silently runs without
+    // jitter.
     if (!std::isfinite(options_.push_period) || options_.push_period <= 0.0) {
       return Status::InvalidArgument("push_period must be finite and positive");
     }
@@ -200,9 +201,10 @@ class AsyncEventEngine {
     };
     TimedEventHeap<Event> heap;
 
-    // Per-group output, merged serially in ascending-owner order after
-    // each window's barrier.
-    struct GroupOut {
+    // Per-shard output, merged serially in shard order after each
+    // window's barrier. A shard runs consecutive owner groups, so shard
+    // order is ascending-owner order.
+    struct ShardOut {
       std::vector<std::pair<double, Event>> scheduled;
       uint64_t gossip_messages = 0;
       uint64_t control_messages = 0;
@@ -210,7 +212,7 @@ class AsyncEventEngine {
       double last_stop_time = 0.0;
     };
 
-    auto maybe_stop = [&](NodeId i, double t, GroupOut& out) {
+    auto maybe_stop = [&](NodeId i, double t, ShardOut& out) {
       if (node[i].stopped || !node[i].converged) return;
       if (node[i].neighbors_converged >= graph_->Degree(i)) {
         node[i].stopped = true;
@@ -220,7 +222,7 @@ class AsyncEventEngine {
     };
 
     auto announce_convergence = [&](NodeId i, double t, Rng& er,
-                                    GroupOut& out) {
+                                    ShardOut& out) {
       node[i].converged = true;
       for (NodeId v : graph_->Neighbors(i)) {
         ++out.control_messages;
@@ -231,7 +233,7 @@ class AsyncEventEngine {
     };
 
     auto execute = [&](const typename TimedEventHeap<Event>::Item& item,
-                       GroupOut& out) {
+                       ShardOut& out) {
       const double t = item.time;
       const Event& ev = item.payload;
       const NodeId i = ev.owner;
@@ -339,56 +341,62 @@ class AsyncEventEngine {
     ThreadPool pool(options_.num_threads);
 
     using Item = typename TimedEventHeap<Event>::Item;
-    // Owner -> group index for the current window, epoch-stamped so the
-    // reset is O(window) rather than O(n).
-    std::vector<uint64_t> stamp(n, 0);
-    std::vector<uint32_t> group_of(n, 0);
-    uint64_t window_id = 0;
+    // Reused by every window: its events sorted by owner, where each
+    // owner's group starts (then the window's end), and the shard outputs.
+    std::vector<Item> window;
+    std::vector<size_t> group_start;
+    std::vector<ShardOut> outs;
+    // A shard runs the consecutive groups [begin, end), one window range.
+    const std::function<void(size_t, size_t, size_t)> run_shard =
+        [&](size_t shard, size_t begin, size_t end) {
+          for (size_t e = group_start[begin]; e < group_start[end]; ++e) {
+            execute(window[e], outs[shard]);
+          }
+        };
     double final_time = 0.0;
 
     while (!heap.empty()) {
-      const double window_start = heap.NextTime();
-      std::vector<Item> window = heap.PopWindow(window_start + lookahead);
-      assert(!window.empty());
+      heap.PopWindow(heap.NextTime() + lookahead, &window);
       stats.events += window.size();
       final_time = window.back().time;
 
-      // Partition by owner, preserving (time, seq) order within a group,
-      // then order groups canonically by node id.
-      ++window_id;
-      std::vector<std::pair<NodeId, std::vector<Item>>> groups;
-      for (Item& item : window) {
-        const NodeId owner = item.payload.owner;
-        if (stamp[owner] != window_id) {
-          stamp[owner] = window_id;
-          group_of[owner] = static_cast<uint32_t>(groups.size());
-          groups.emplace_back(owner, std::vector<Item>());
+      // Group by owner in ascending node id, keeping (time, seq) order
+      // within each group.
+      std::sort(window.begin(), window.end(),
+                [](const Item& a, const Item& b) {
+                  if (a.payload.owner != b.payload.owner) {
+                    return a.payload.owner < b.payload.owner;
+                  }
+                  if (a.time != b.time) return a.time < b.time;
+                  return a.seq < b.seq;
+                });
+      group_start.clear();
+      for (size_t e = 0; e < window.size(); ++e) {
+        if (e == 0 || window[e].payload.owner != window[e - 1].payload.owner) {
+          group_start.push_back(e);
         }
-        groups[group_of[owner]].second.push_back(std::move(item));
       }
-      std::sort(groups.begin(), groups.end(),
-                [](const auto& a, const auto& b) { return a.first < b.first; });
+      const size_t groups = group_start.size();
+      group_start.push_back(window.size());
 
-      std::vector<GroupOut> outs(groups.size());
-      pool.ParallelFor(groups.size(), [&](size_t, size_t begin, size_t end) {
-        for (size_t g = begin; g < end; ++g) {
-          for (const Item& item : groups[g].second) {
-            execute(item, outs[g]);
-          }
-        }
-      });
+      const size_t shards = pool.NumShards(groups);
+      if (outs.size() < shards) outs.resize(shards);
+      pool.ParallelFor(groups, run_shard);
 
-      // Canonical commit: ascending node id. Counter sums and heap seq
-      // assignment are now pure functions of the event history.
-      for (size_t g = 0; g < groups.size(); ++g) {
-        GroupOut& out = outs[g];
-        stats.gossip_messages += out.gossip_messages;
-        stats.control_messages += out.control_messages;
-        num_stopped += out.newly_stopped;
-        last_stop_time = std::max(last_stop_time, out.last_stop_time);
+      // Canonical commit: shard order, which is ascending node id. Counter
+      // sums and heap seq assignment are pure functions of the event
+      // history. Each output is left empty for the next window.
+      for (size_t s = 0; s < shards; ++s) {
+        ShardOut& out = outs[s];
+        stats.gossip_messages += std::exchange(out.gossip_messages, 0);
+        stats.control_messages += std::exchange(out.control_messages, 0);
+        num_stopped += std::exchange(out.newly_stopped, 0);
+        last_stop_time =
+            std::max(last_stop_time, std::exchange(out.last_stop_time, 0.0));
         for (auto& [time, event] : out.scheduled) {
           heap.Push(time, std::move(event));
         }
+        out.scheduled.clear();
       }
     }
 

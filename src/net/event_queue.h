@@ -61,17 +61,19 @@ class TimedEventHeap {
     return item;
   }
 
-  // Pops every item with time < horizon, in (time, seq) order. This is
-  // the lookahead-window extraction: with horizon = NextTime() + L_min
-  // (L_min the link-latency lower bound), none of the returned events can
-  // schedule new events inside the window, so the batch is safe to
-  // execute in parallel.
-  std::vector<Item> PopWindow(double horizon) {
-    std::vector<Item> window;
-    while (!heap_.empty() && heap_.front().time < horizon) {
-      window.push_back(Pop());
+  // Replaces *window with the earliest item and every further item with
+  // time < horizon, in (time, seq) order. This is the lookahead-window
+  // extraction: with horizon = NextTime() + L_min (L_min the link-latency
+  // lower bound), none of the returned events can schedule new events
+  // inside the window, so the batch is safe to execute in parallel. Once
+  // times are so large that NextTime() + L_min rounds to NextTime(), the
+  // window is the earliest item alone, which is trivially safe.
+  void PopWindow(double horizon, std::vector<Item>* window) {
+    window->clear();
+    while (!heap_.empty() &&
+           (window->empty() || heap_.front().time < horizon)) {
+      window->push_back(Pop());
     }
-    return window;
   }
 
  private:

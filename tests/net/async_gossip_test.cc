@@ -253,6 +253,28 @@ TEST(AsyncGossipTest, SimTimeScalesWithPushPeriod) {
   EXPECT_GT(rs->sim_time, rf->sim_time);
 }
 
+// Regression: past 2^53 * lookahead an event time plus the lookahead
+// rounds back to the time itself, so the lookahead window came back empty
+// and the run crashed. Such windows now hold one event.
+TEST(AsyncGossipTest, ConvergesWhenTheLookaheadRoundsAway) {
+  Graph g = MakePaGraph(20);
+  const std::vector<double> y0 = RandomValues(20, 14);
+  const std::vector<double> g0(20, 1.0);
+  AsyncGossipOptions o = Opts();
+  o.push_period = 1e16;
+  o.max_time = 1e30;
+  auto base = AsyncPushSum(&g, o).Run(y0, g0);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  EXPECT_TRUE(base->converged);
+  EXPECT_GT(base->sim_time, 1e16);
+  o.num_threads = 4;
+  auto r = AsyncPushSum(&g, o).Run(y0, g0);
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->ratios, base->ratios);
+  EXPECT_EQ(r->events, base->events);
+  EXPECT_EQ(r->sim_time, base->sim_time);
+}
+
 TEST(AsyncGossipTest, FiringsComparableToSyncSteps) {
   // The asynchronous run should need the same order of firings per node
   // as the synchronous engine needs steps.

@@ -65,7 +65,8 @@ TEST(TimedEventHeapTest, PopWindowIsExclusiveAndOrdered) {
   h.Push(1.0, 2);
   h.Push(1.0, 3);
   h.Push(1.5, 4);
-  auto window = h.PopWindow(1.5);  // horizon itself excluded
+  std::vector<TimedEventHeap<int>::Item> window{{9.0, 9, 9}};
+  h.PopWindow(1.5, &window);  // horizon itself excluded, old items dropped
   ASSERT_EQ(window.size(), 3u);
   EXPECT_EQ(window[0].payload, 1);
   EXPECT_EQ(window[1].payload, 2);
@@ -76,7 +77,24 @@ TEST(TimedEventHeapTest, PopWindowIsExclusiveAndOrdered) {
 
 TEST(TimedEventHeapTest, PopWindowOnEmptyHeapReturnsNothing) {
   TimedEventHeap<int> h;
-  EXPECT_TRUE(h.PopWindow(100.0).empty());
+  std::vector<TimedEventHeap<int>::Item> window;
+  h.PopWindow(100.0, &window);
+  EXPECT_TRUE(window.empty());
+}
+
+// Regression: at 2^48 the spacing of doubles is 1/16, so a 0.03 lookahead
+// rounds away and the horizon equals the earliest time. The window came
+// back empty, and the event-driven engine read past it.
+TEST(TimedEventHeapTest, PopWindowTakesTheEarliestItemPastRounding) {
+  const double t = std::ldexp(1.0, 48);
+  TimedEventHeap<int> h;
+  h.Push(t, 1);
+  h.Push(t, 2);
+  std::vector<TimedEventHeap<int>::Item> window;
+  h.PopWindow(t + 0.03, &window);
+  ASSERT_EQ(window.size(), 1u);
+  EXPECT_EQ(window[0].payload, 1);
+  EXPECT_EQ(h.size(), 1u);
 }
 
 TEST(TimedEventHeapTest, SupportsMoveOnlyPayloads) {
