@@ -33,13 +33,16 @@ Result<GossipTrustResult> AggregateGossipTrust(const Graph& graph,
                        engine.Run(std::move(init), /*use_count=*/false));
 
   GossipTrustResult out;
-  // Densify; a column without gossip weight reads as the sentinel.
-  out.estimates.assign(num, std::vector<double>(num, kRatioSentinel));
+  // A column without gossip weight reads as the sentinel. Each state row
+  // is released once read, so the estimates take its place.
+  out.estimates.resize(num);
   for (NodeId i = 0; i < num; ++i) {
-    const auto& row = run.rows[i];
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      out.estimates[i][row.cols[k]] = row.estimates[k];
+    const VectorGossipPolicy::Value& row = run.rows[i];
+    out.estimates[i].resize(num);
+    for (NodeId j = 0; j < num; ++j) {
+      out.estimates[i][j] = GossipRatio(row.y[j], row.g[j]);
     }
+    run.rows[i] = VectorGossipPolicy::Value();
   }
   out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   out.global.assign(num, 0.0);

@@ -128,28 +128,6 @@ std::vector<VectorGossipPolicy::Value> VectorGossipPolicy::FromSparse(
   return out;
 }
 
-SparseVectorRow VectorGossipPolicy::ToSparse(const Value& v) {
-  const bool use_count = !v.c.empty();
-  auto present = [&](size_t j) {
-    return v.y[j] != 0.0 || v.g[j] != 0.0 || (use_count && v.c[j] != 0.0);
-  };
-  size_t nnz = 0;
-  for (size_t j = 0; j < v.y.size(); ++j) nnz += present(j) ? 1 : 0;
-  SparseVectorRow row;
-  row.cols.reserve(nnz);
-  row.y.reserve(nnz);
-  row.g.reserve(nnz);
-  row.c.reserve(use_count ? nnz : 0);
-  for (size_t j = 0; j < v.y.size(); ++j) {
-    if (!present(j)) continue;
-    row.cols.push_back(static_cast<uint32_t>(j));
-    row.y.push_back(v.y[j]);
-    row.g.push_back(v.g[j]);
-    if (use_count) row.c.push_back(v.c[j]);
-  }
-  return row;
-}
-
 // --- Synchronous interface ---------------------------------------------
 
 VectorGossipPolicy::VectorGossipPolicy(

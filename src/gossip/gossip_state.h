@@ -139,8 +139,10 @@ class ScalarGossipPolicy {
 // --- Vector (paper variants 3/4: one row per node) --------------------
 
 // Sorted sparse (column, y, g[, c]) entries, the vector executors' input
-// and output format: `cols` is strictly increasing; `y`/`g` (and `c` with
-// the count channel) are parallel to it. Absent columns hold exact zeros.
+// format: `cols` is strictly increasing; `y`/`g` (and `c` with the count
+// channel) are parallel to it. Absent columns hold exact zeros. The
+// executors hand back their final state as dense rows
+// (VectorGossipPolicy::Value).
 struct SparseVectorRow {
   std::vector<uint32_t> cols;
   std::vector<double> y;
@@ -194,12 +196,10 @@ class VectorGossipPolicy {
     return static_cast<double>(n) * xi;
   }
 
-  // The one conversion each way. FromSparse scatters rows checked by
-  // ValidateSparseRows, freeing each once copied; ToSparse keeps the
-  // columns whose channels are not all zero.
+  // The one conversion: scatters rows checked by ValidateSparseRows into
+  // dense rows, freeing each once copied.
   static std::vector<Value> FromSparse(std::vector<SparseVectorRow> rows,
                                        bool use_count);
-  static SparseVectorRow ToSparse(const Value& v);
 
   // `init` is the run's state before FromSparse; its entries seed the
   // nonzero count.

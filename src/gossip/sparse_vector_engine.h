@@ -9,8 +9,8 @@
 // when sum_j |ratio_ij(n) - ratio_ij(n-1)| <= N * xi, followed by the same
 // announce/stop protocol as the scalar engine.
 //
-// Sparse in, dense inside: direct trust is sparse, so rows go in and come
-// out sparse, but mass mixes across the overlay and the rows fill in.
+// Sparse rows in, dense rows out: direct trust is sparse, so rows go in
+// sparse, but mass mixes across the overlay and the rows fill in.
 // Variant 4 at N = 1,000 (perfbench's gclr_sync) peaks at 1,160,500
 // nonzeros, about 1.16 N^2, and 91% of its merges read inboxes whose rows
 // already held all N columns. So each node's state is one dense row
@@ -18,12 +18,13 @@
 // count channel, against 28 B for a full sparse row with its column
 // index; one copy of the state at the paper's N = 50,000 is ~60 GB. Each
 // merge walks the N columns once (merge-on-receive), and released rows
-// go to a pool that later merges reuse. The results are bit-for-bit
-// those of the dense reference policy in tests/dense_vector_policy.h
+// go to a pool that later merges reuse. The final rows are handed to the
+// caller as they are. The results are bit-for-bit those of the dense
+// reference policy in tests/dense_vector_policy.h
 // (tests/gossip/sparse_vector_engine_test.cc).
 //
 // A front-end over RunPushSum (gossip/push_sum.h): it checks inputs,
-// converts the rows once each way and assembles results.
+// scatters the rows once and assembles results.
 
 #ifndef DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
 #define DGT_GOSSIP_SPARSE_VECTOR_ENGINE_H_
@@ -39,27 +40,18 @@
 namespace dgt {
 
 struct SparseVectorGossipResult : PushSumStats {
-  // Per node: sorted columns where gossip weight arrived (g != 0), with
-  // the final ratio y/g and count ratio c/g. Columns absent from a row
-  // are at kRatioSentinel (no weight reached the node).
-  struct Row {
-    std::vector<uint32_t> cols;
-    std::vector<double> estimates;
-    std::vector<double> count_estimates;  // empty when count unused
-  };
-  std::vector<Row> rows;
+  // Final state, one dense row per node: rows[i].y, .g and, with the
+  // count channel, .c hold N columns each. Where g_ij != 0, node i's
+  // estimate of column j is y_ij / g_ij (and c_ij / g_ij for the count);
+  // where g_ij == 0 no gossip weight reached the node. Consumers read a
+  // row and release it, so the results replace the state.
+  std::vector<VectorGossipPolicy::Value> rows;
 
   // Peak sum of per-row nonzero entries across all steps (reported by the
   // large-N benches). A count of entries, not bytes: each live state row
   // holds N columns.
   uint64_t peak_state_nonzeros = 0;
 };
-
-// A row's estimates: its columns with gossip weight, each with y/g and,
-// when `use_count`, c/g. Every vector executor's final rows go through
-// here.
-SparseVectorGossipResult::Row EstimateRow(const SparseVectorRow& row,
-                                          bool use_count);
 
 class SparseVectorPushSum {
  public:

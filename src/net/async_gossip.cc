@@ -49,14 +49,7 @@ Result<AsyncSparseGossipResult> AsyncSparsePushSum::Run(
       auto out,
       engine.Run(VectorGossipPolicy::FromSparse(std::move(init), use_count)));
 
-  AsyncSparseGossipResult res;
-  res.stats = out.stats;
-  res.rows.reserve(out.values.size());
-  for (VectorGossipPolicy::Value& v : out.values) {
-    res.rows.push_back(VectorGossipPolicy::ToSparse(v));
-    v = VectorGossipPolicy::Value();
-  }
-  return res;
+  return AsyncSparseGossipResult{std::move(out.values), out.stats};
 }
 
 }  // namespace dgt

@@ -4,10 +4,10 @@
 // (net/async_engine.h), one per value policy (gossip/gossip_state.h):
 //
 //   AsyncPushSum        — scalar state (paper variants 1/2).
-//   AsyncSparsePushSum  — one dense row per node, fed and reported as
-//                         sparse rows (variant 4 / GCLR at scale), the
-//                         production path for event-driven reputation
-//                         aggregation.
+//   AsyncSparsePushSum  — one dense row per node, fed sparse rows and
+//                         handing back the dense rows (variant 4 / GCLR
+//                         at scale), the production path for
+//                         event-driven reputation aggregation.
 //
 // Each node runs a local timer that fires every push_period (with
 // per-firing jitter); on firing it splits its gossip state into k_i + 1
@@ -53,10 +53,9 @@ class AsyncPushSum {
 };
 
 struct AsyncSparseGossipResult {
-  // Final node-resident rows (cols sorted; y/g, and c when use_count):
-  // the columns whose channels are not all zero, so an all-zero input
-  // entry is dropped even on a node that never fired (an isolated one).
-  std::vector<SparseVectorRow> rows;
+  // Final node-resident state, one dense row per node of N columns (y, g
+  // and, with use_count, c), read as SparseVectorGossipResult::rows.
+  std::vector<VectorGossipPolicy::Value> rows;
   AsyncEngineStats stats;
 };
 

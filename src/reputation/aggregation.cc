@@ -82,35 +82,39 @@ Result<std::vector<WeightTable>> BuildAllWeightTables(
 
 // Variant 4's per-observer post-processing, shared by the synchronous and
 // event-driven paths. Observer i's output for target j comes from its
-// gossiped (est, count_est) in rows[i]; yhat_j is yhat_row[j], accumulated
+// gossiped state row rows[i]: where g_ij != 0, the sum estimate y_ij/g_ij
+// and the count estimate c_ij/g_ij. yhat_j is yhat_row[j], accumulated
 // sparsely over the rated nodes' opinion rows (the observer's interaction
 // set; everyone else has weight exactly 1): O(sum_i |rated_i| * |row|).
 // Columns without gossip weight stay at 0. Observers are independent, so
-// they shard across their own pool, each writing only its own output row;
-// callers run this only after the engine (and its pool) has finished.
+// they shard across their own pool, each writing only its own output row
+// and releasing its state row once read, so the estimates take the
+// state's place; callers run this only after the engine (and its pool)
+// has finished.
 std::vector<std::vector<double>> GclrObserverEstimates(
     const TrustMatrix& trust, const std::vector<WeightTable>& tables,
-    const std::vector<SparseVectorGossipResult::Row>& rows,
-    DenominatorMode mode, uint32_t num_threads) {
+    std::vector<VectorGossipPolicy::Value> rows, DenominatorMode mode,
+    uint32_t num_threads) {
   const uint32_t n = trust.num_nodes();
-  std::vector<std::vector<double>> estimates(n, std::vector<double>(n, 0.0));
+  std::vector<std::vector<double>> estimates(n);
   ThreadPool pool(num_threads);
   pool.ParallelFor(n, [&](size_t, size_t begin, size_t end) {
     std::vector<double> yhat_row(n);
-    for (size_t idx = begin; idx < end; ++idx) {
-      const NodeId i = static_cast<NodeId>(idx);
+    for (size_t i = begin; i < end; ++i) {
       FillYhatRow(trust, tables[i], &yhat_row);
       const double excess_den = tables[i].TotalExcessWeight();
-      const auto& row = rows[i];
-      for (size_t k = 0; k < row.cols.size(); ++k) {
-        const NodeId j = row.cols[k];
+      const VectorGossipPolicy::Value& row = rows[i];
+      estimates[i].assign(n, 0.0);
+      for (NodeId j = 0; j < n; ++j) {
+        if (row.g[j] == 0.0) continue;  // no gossip weight reached i
         double count_est = mode == DenominatorMode::kAllNodes
                                ? static_cast<double>(n)
-                               : row.count_estimates[k];
+                               : row.c[j] / row.g[j];
         double denominator = excess_den + count_est;
         if (denominator <= 0.0) continue;
-        estimates[i][j] = (yhat_row[j] + row.estimates[k]) / denominator;
+        estimates[i][j] = (yhat_row[j] + row.y[j] / row.g[j]) / denominator;
       }
+      rows[i] = VectorGossipPolicy::Value();
     }
   });
   return estimates;
@@ -209,12 +213,15 @@ Result<VectorAggregationResult> AggregateGlobalVector(
   SparseVectorPushSum engine(&graph, options.gossip);
   DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/false));
-  out.estimates.assign(n, std::vector<double>(n, 0.0));
+  // Release each state row once read, so the estimates take its place.
+  out.estimates.resize(n);
   for (NodeId i = 0; i < n; ++i) {
-    const auto& row = run.rows[i];
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      out.estimates[i][row.cols[k]] = row.estimates[k];
+    const VectorGossipPolicy::Value& row = run.rows[i];
+    out.estimates[i].assign(n, 0.0);
+    for (NodeId j = 0; j < n; ++j) {
+      if (row.g[j] != 0.0) out.estimates[i][j] = row.y[j] / row.g[j];
     }
+    run.rows[i] = VectorGossipPolicy::Value();
   }
   out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   return out;
@@ -261,7 +268,6 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
     const Graph& graph, const TrustMatrix& trust,
     const AsyncAggregationOptions& options) {
   DGT_RETURN_IF_ERROR(ValidateInputs(graph, trust));
-  const uint32_t n = graph.num_nodes();
   DGT_ASSIGN_OR_RETURN(std::vector<WeightTable> tables,
                        BuildAllWeightTables(trust, options.weights));
 
@@ -269,16 +275,10 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
   AsyncSparsePushSum engine(&graph, options.gossip);
   DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
-  // The engine returns raw y/g/c rows; form the estimates the way the
-  // synchronous engine does, releasing each raw row once converted.
-  std::vector<SparseVectorGossipResult::Row> rows(n);
-  for (NodeId i = 0; i < n; ++i) {
-    rows[i] = EstimateRow(run.rows[i], /*use_count=*/true);
-    run.rows[i] = SparseVectorRow();
-  }
   AsyncVectorAggregationResult out;
-  out.estimates = GclrObserverEstimates(
-      trust, tables, rows, options.denominator, options.gossip.num_threads);
+  out.estimates =
+      GclrObserverEstimates(trust, tables, std::move(run.rows),
+                            options.denominator, options.gossip.num_threads);
   out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
@@ -297,9 +297,9 @@ Result<VectorAggregationResult> AggregateGclrVector(
   DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
   VectorAggregationResult out;
-  out.estimates = GclrObserverEstimates(trust, tables, run.rows,
-                                        options.denominator,
-                                        options.gossip.num_threads);
+  out.estimates =
+      GclrObserverEstimates(trust, tables, std::move(run.rows),
+                            options.denominator, options.gossip.num_threads);
   out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();

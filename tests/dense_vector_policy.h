@@ -199,17 +199,13 @@ inline std::vector<SparseVectorRow> SparseFromDense(
   return rows;
 }
 
-// A sparse run's estimates as an N x N matrix, kRatioSentinel where no
+// A library run's estimates as an N x N matrix, kRatioSentinel where no
 // weight arrived; with `count`, the count estimates instead.
 inline std::vector<std::vector<double>> Densify(
     const SparseVectorGossipResult& r, bool count = false) {
-  const size_t n = r.rows.size();
-  std::vector<std::vector<double>> out(
-      n, std::vector<double>(n, kRatioSentinel));
-  for (size_t i = 0; i < n; ++i) {
-    const auto& row = r.rows[i];
-    const auto& vals = count ? row.count_estimates : row.estimates;
-    for (size_t k = 0; k < row.cols.size(); ++k) out[i][row.cols[k]] = vals[k];
+  std::vector<std::vector<double>> out;
+  for (const auto& v : r.rows) {
+    out.push_back(DenseVectorPolicy::Ratios(count ? v.c : v.y, v.g));
   }
   return out;
 }

@@ -196,11 +196,21 @@ TEST(EngineGolden, SparseVectorPushSum) {
       auto r = engine.Run(SparseInit(n, c.use_count), c.use_count);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       Digest d;
-      for (const auto& row : r->rows) {
-        d.Word(row.cols.size());
-        for (uint32_t col : row.cols) d.Word(col);
-        d.Doubles(row.estimates);
-        d.Doubles(row.count_estimates);
+      for (const VectorGossipPolicy::Value& row : r->rows) {
+        // The pinned view: the columns with gossip weight, each with y/g
+        // and, with the count channel, c/g.
+        std::vector<uint32_t> cols;
+        std::vector<double> estimates, count_estimates;
+        for (uint32_t j = 0; j < n; ++j) {
+          if (row.g[j] == 0.0) continue;
+          cols.push_back(j);
+          estimates.push_back(row.y[j] / row.g[j]);
+          if (c.use_count) count_estimates.push_back(row.c[j] / row.g[j]);
+        }
+        d.Word(cols.size());
+        for (uint32_t col : cols) d.Word(col);
+        d.Doubles(estimates);
+        d.Doubles(count_estimates);
       }
       d.Double(r->mean_messages_per_active_node_step);
       EXPECT_EQ(Summary(r->steps, r->converged, r->gossip_messages,
@@ -344,12 +354,22 @@ TEST(EngineGolden, AsyncSparsePushSum) {
       auto r = engine.Run(SparseInit(n, c.use_count), c.use_count);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       Digest d;
-      for (const SparseVectorRow& row : r->rows) {
-        d.Word(row.cols.size());
-        for (uint32_t col : row.cols) d.Word(col);
-        d.Doubles(row.y);
-        d.Doubles(row.g);
-        d.Doubles(row.c);
+      for (const VectorGossipPolicy::Value& row : r->rows) {
+        // The pinned view: the columns with any channel nonzero.
+        SparseVectorRow kept;
+        for (uint32_t j = 0; j < n; ++j) {
+          const bool count = c.use_count && row.c[j] != 0.0;
+          if (row.y[j] == 0.0 && row.g[j] == 0.0 && !count) continue;
+          kept.cols.push_back(j);
+          kept.y.push_back(row.y[j]);
+          kept.g.push_back(row.g[j]);
+          if (c.use_count) kept.c.push_back(row.c[j]);
+        }
+        d.Word(kept.cols.size());
+        for (uint32_t col : kept.cols) d.Word(col);
+        d.Doubles(kept.y);
+        d.Doubles(kept.g);
+        d.Doubles(kept.c);
       }
       EXPECT_EQ(AsyncSummary(r->stats, d), c.golden)
           << "count=" << c.use_count << " loss=" << c.loss << " T=" << t;

@@ -134,12 +134,9 @@ TEST_P(ParallelSerialEquivalence, DenseAndSparseVectorEngines) {
     ASSERT_TRUE(sr.ok()) << sr.status().ToString();
     ASSERT_EQ(sr->rows.size(), sparse_base->rows.size());
     for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(sr->rows[i].cols, sparse_base->rows[i].cols) << "T=" << t;
-      EXPECT_EQ(sr->rows[i].estimates, sparse_base->rows[i].estimates)
-          << "T=" << t;
-      EXPECT_EQ(sr->rows[i].count_estimates,
-                sparse_base->rows[i].count_estimates)
-          << "T=" << t;
+      EXPECT_EQ(sr->rows[i].y, sparse_base->rows[i].y) << "T=" << t;
+      EXPECT_EQ(sr->rows[i].g, sparse_base->rows[i].g) << "T=" << t;
+      EXPECT_EQ(sr->rows[i].c, sparse_base->rows[i].c) << "T=" << t;
     }
     EXPECT_EQ(sr->steps, sparse_base->steps) << "T=" << t;
     EXPECT_EQ(sr->gossip_messages, sparse_base->gossip_messages) << "T=" << t;
@@ -286,7 +283,6 @@ TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
     ASSERT_TRUE(sr.ok()) << sr.status().ToString();
     ASSERT_EQ(sr->rows.size(), sparse_base->rows.size());
     for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(sr->rows[i].cols, sparse_base->rows[i].cols) << "T=" << t;
       EXPECT_EQ(sr->rows[i].y, sparse_base->rows[i].y) << "T=" << t;
       EXPECT_EQ(sr->rows[i].g, sparse_base->rows[i].g) << "T=" << t;
       EXPECT_EQ(sr->rows[i].c, sparse_base->rows[i].c) << "T=" << t;

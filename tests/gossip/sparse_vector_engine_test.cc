@@ -1,5 +1,6 @@
 #include "gossip/sparse_vector_engine.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 #include <tuple>
@@ -207,10 +208,9 @@ SparseVectorGossipResult ExpectMatchesDense(
   return *std::move(rs);
 }
 
-// Once every row in a receiver's inbox holds all N columns, the merge
-// walks columns by index instead of by sorted cursor. On complete graphs
-// a GCLR-shaped start fills in within a few steps, so most merges take
-// that walk; N = 2 is the smallest network.
+// On complete graphs a GCLR-shaped start fills in within a few steps, so
+// most merges read inboxes whose rows carry weight in all N columns;
+// N = 2 is the smallest network.
 TEST(SparseVectorEngineTest, FullRowMergeMatchesDenseOnCompleteGraphs) {
   for (uint32_t n : {2u, 5u}) {
     SCOPED_TRACE("n=" + std::to_string(n));
@@ -240,7 +240,9 @@ TEST(SparseVectorEngineTest, FullRowMergeMatchesDenseOnCompleteGraphs) {
         // Every final row carries weight in all N columns: the rows had
         // filled in, so the last steps merged full inboxes.
         ASSERT_EQ(r.rows.size(), n);
-        for (const auto& row : r.rows) EXPECT_EQ(row.cols.size(), n);
+        for (const auto& row : r.rows) {
+          EXPECT_EQ(std::count(row.g.begin(), row.g.end(), 0.0), 0);
+        }
       }
     }
   }
@@ -306,7 +308,7 @@ TEST(SparseVectorEngineTest, AllColumnsConvergeToColumnAverages) {
 
 TEST(SparseVectorEngineTest, SentinelForUnreachedWeight) {
   // Disconnected pair: nodes 2 and 3 form their own component with no
-  // weight for column 0 -> absent from their result rows, sentinel when
+  // weight for column 0 -> g = 0 in their result rows, sentinel when
   // densified (count channel included — the count sentinel regression).
   auto g = Graph::FromEdges(4, {{0, 1}, {2, 3}});
   ASSERT_TRUE(g.ok());
@@ -341,8 +343,8 @@ TEST(SparseVectorEngineTest, DeterministicAcrossRuns) {
   ASSERT_TRUE(ra.ok() && rb.ok());
   EXPECT_EQ(ra->steps, rb->steps);
   for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_EQ(ra->rows[i].cols, rb->rows[i].cols);
-    EXPECT_EQ(ra->rows[i].estimates, rb->rows[i].estimates);
+    EXPECT_EQ(ra->rows[i].y, rb->rows[i].y);
+    EXPECT_EQ(ra->rows[i].g, rb->rows[i].g);
   }
 }
 

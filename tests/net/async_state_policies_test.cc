@@ -1,12 +1,13 @@
-// Invariants of the event-driven engine's sparse state policy: mass
-// conservation including in-flight shares, agreement with the test-only
-// dense reference policy (bit-for-bit: both walk columns ascending with
-// identical accumulation order), and tolerance-bounded convergence-value
-// agreement between the asynchronous engine and the synchronous sparse
-// engine on the same trust-shaped initial state.
+// Invariants of the event-driven engine's vector state policy, fed sparse
+// rows and read back as dense rows: mass conservation including in-flight
+// shares, agreement with the test-only dense reference policy
+// (bit-for-bit: both walk columns ascending with identical accumulation
+// order), and tolerance-bounded convergence-value agreement between the
+// asynchronous engine and the synchronous vector engine on the same
+// trust-shaped initial state.
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
 #include <vector>
 
 #include "dense_vector_policy.h"
@@ -83,12 +84,12 @@ TEST(AsyncSparsePolicy, MassConservedPerColumnIncludingLossAndChurnOfFlight) {
   // After the run every share has been drained back into node-resident
   // rows, so per-column sums over all nodes are conserved exactly (up to
   // float accumulation).
-  std::vector<double> y_after = ColumnSums(r->rows, n);
-  std::vector<double> g_after(n, 0.0), c_after(n, 0.0);
-  for (const SparseVectorRow& row : r->rows) {
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      g_after[row.cols[k]] += row.g[k];
-      c_after[row.cols[k]] += row.c[k];
+  std::vector<double> y_after(n, 0.0), g_after(n, 0.0), c_after(n, 0.0);
+  for (const VectorGossipPolicy::Value& row : r->rows) {
+    for (uint32_t j = 0; j < n; ++j) {
+      y_after[j] += row.y[j];
+      g_after[j] += row.g[j];
+      c_after[j] += row.c[j];
     }
   }
   for (uint32_t j = 0; j < n; ++j) {
@@ -100,8 +101,8 @@ TEST(AsyncSparsePolicy, MassConservedPerColumnIncludingLossAndChurnOfFlight) {
 
 TEST(AsyncSparsePolicy, DenseAndSparsePoliciesBitForBitAgree) {
   // Both policies split, absorb, and snapshot column-by-column in
-  // ascending order with the same accumulation order, so the sparse run
-  // densified must equal the dense run exactly — the event-driven
+  // ascending order with the same accumulation order, so the library
+  // run's rows must equal the dense run's exactly — the event-driven
   // analogue of the synchronous SparseDenseEquivalence sweep.
   const uint32_t n = 18;
   Graph g = MakePaGraph(n, 2, 63);
@@ -133,15 +134,9 @@ TEST(AsyncSparsePolicy, DenseAndSparsePoliciesBitForBitAgree) {
   EXPECT_EQ(sr->stats.control_messages, dr->stats.control_messages);
   EXPECT_EQ(sr->stats.events, dr->stats.events);
   for (uint32_t i = 0; i < n; ++i) {
-    std::vector<double> dense_y(n, 0.0), dense_g(n, 0.0), dense_c(n, 0.0);
-    for (size_t k = 0; k < sr->rows[i].cols.size(); ++k) {
-      dense_y[sr->rows[i].cols[k]] = sr->rows[i].y[k];
-      dense_g[sr->rows[i].cols[k]] = sr->rows[i].g[k];
-      dense_c[sr->rows[i].cols[k]] = sr->rows[i].c[k];
-    }
-    EXPECT_EQ(dense_y, dr->values[i].y) << "node " << i;
-    EXPECT_EQ(dense_g, dr->values[i].g) << "node " << i;
-    EXPECT_EQ(dense_c, dr->values[i].c) << "node " << i;
+    EXPECT_EQ(sr->rows[i].y, dr->values[i].y) << "node " << i;
+    EXPECT_EQ(sr->rows[i].g, dr->values[i].g) << "node " << i;
+    EXPECT_EQ(sr->rows[i].c, dr->values[i].c) << "node " << i;
   }
 }
 
@@ -178,21 +173,16 @@ TEST(AsyncSparsePolicy, AgreesWithSynchronousEngineOnConvergedValues) {
   double worst_vs_sync = 0.0, worst_vs_truth = 0.0;
   uint32_t compared = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const SparseVectorRow& row = async->rows[i];
-    // Densify the sync row's estimates for lookup.
-    std::vector<double> sync_est(n,
-                                 std::numeric_limits<double>::quiet_NaN());
-    for (size_t k = 0; k < sync->rows[i].cols.size(); ++k) {
-      sync_est[sync->rows[i].cols[k]] = sync->rows[i].estimates[k];
-    }
-    for (size_t k = 0; k < row.cols.size(); ++k) {
-      if (row.g[k] == 0.0) continue;
-      double est = row.y[k] / row.g[k];
-      worst_vs_truth = std::max(
-          worst_vs_truth, std::fabs(est - column_mass[row.cols[k]]));
-      if (!std::isnan(sync_est[row.cols[k]])) {
-        worst_vs_sync =
-            std::max(worst_vs_sync, std::fabs(est - sync_est[row.cols[k]]));
+    const VectorGossipPolicy::Value& row = async->rows[i];
+    const VectorGossipPolicy::Value& sync_row = sync->rows[i];
+    for (uint32_t j = 0; j < n; ++j) {
+      if (row.g[j] == 0.0) continue;
+      double est = row.y[j] / row.g[j];
+      worst_vs_truth =
+          std::max(worst_vs_truth, std::fabs(est - column_mass[j]));
+      if (sync_row.g[j] != 0.0) {
+        worst_vs_sync = std::max(
+            worst_vs_sync, std::fabs(est - sync_row.y[j] / sync_row.g[j]));
         ++compared;
       }
     }
