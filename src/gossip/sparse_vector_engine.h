@@ -18,9 +18,8 @@
 // count channel, against 28 B for a full sparse row with its column
 // index; one copy of the state at the paper's N = 50,000 is ~60 GB. Each
 // merge walks the N columns once (merge-on-receive), and released rows
-// go to a pool that later merges reuse. The final rows are handed to the
-// caller as they are. The results are bit-for-bit those of the dense
-// reference policy in tests/dense_vector_policy.h
+// go to a pool that later merges reuse. The results are bit-for-bit
+// those of the dense reference policy in tests/dense_vector_policy.h
 // (tests/gossip/sparse_vector_engine_test.cc).
 //
 // A front-end over RunPushSum (gossip/push_sum.h): it checks inputs,
@@ -43,8 +42,7 @@ struct SparseVectorGossipResult : PushSumStats {
   // Final state, one dense row per node: rows[i].y, .g and, with the
   // count channel, .c hold N columns each. Where g_ij != 0, node i's
   // estimate of column j is y_ij / g_ij (and c_ij / g_ij for the count);
-  // where g_ij == 0 no gossip weight reached the node. Consumers read a
-  // row and release it, so the results replace the state.
+  // where g_ij == 0 no gossip weight reached the node.
   std::vector<VectorGossipPolicy::Value> rows;
 
   // Peak sum of per-row nonzero entries across all steps (reported by the

@@ -39,6 +39,7 @@
 #include <cmath>
 #include <cstdint>
 #include <functional>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -201,9 +202,8 @@ class AsyncEventEngine {
     };
     TimedEventHeap<Event> heap;
 
-    // Per-shard output, merged serially in shard order after each
-    // window's barrier. A shard runs consecutive owner groups, so shard
-    // order is ascending-owner order.
+    // Per-shard output, merged serially in shard order (ascending-owner
+    // order: a shard runs consecutive owner groups) after each barrier.
     struct ShardOut {
       std::vector<std::pair<double, Event>> scheduled;
       uint64_t gossip_messages = 0;
@@ -362,14 +362,10 @@ class AsyncEventEngine {
 
       // Group by owner in ascending node id, keeping (time, seq) order
       // within each group.
-      std::sort(window.begin(), window.end(),
-                [](const Item& a, const Item& b) {
-                  if (a.payload.owner != b.payload.owner) {
-                    return a.payload.owner < b.payload.owner;
-                  }
-                  if (a.time != b.time) return a.time < b.time;
-                  return a.seq < b.seq;
-                });
+      std::sort(window.begin(), window.end(), [](const Item& a, const Item& b) {
+        return std::tie(a.payload.owner, a.time, a.seq) <
+               std::tie(b.payload.owner, b.time, b.seq);
+      });
       group_start.clear();
       for (size_t e = 0; e < window.size(); ++e) {
         if (e == 0 || window[e].payload.owner != window[e - 1].payload.owner) {

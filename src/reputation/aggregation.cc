@@ -87,10 +87,8 @@ Result<std::vector<WeightTable>> BuildAllWeightTables(
 // sparsely over the rated nodes' opinion rows (the observer's interaction
 // set; everyone else has weight exactly 1): O(sum_i |rated_i| * |row|).
 // Columns without gossip weight stay at 0. Observers are independent, so
-// they shard across their own pool, each writing only its own output row
-// and releasing its state row once read, so the estimates take the
-// state's place; callers run this only after the engine (and its pool)
-// has finished.
+// they shard across their own pool, each writing its own output row and
+// freeing its state row; callers run this only after the engine has run.
 std::vector<std::vector<double>> GclrObserverEstimates(
     const TrustMatrix& trust, const std::vector<WeightTable>& tables,
     std::vector<VectorGossipPolicy::Value> rows, DenominatorMode mode,
