@@ -5,10 +5,10 @@
 //
 // A second sweep runs the paper's headline configuration — variant 4,
 // GCLR of all nodes at all observers — through SparseVectorPushSum on
-// sparse trust (~20 opinions per node). Rows go in and come out sparse,
-// but each node gossips one dense row of N columns (24 B per column), so
-// memory grows as N^2: the table reports the process's peak RSS next to
-// the peak count of nonzero entries, which no longer measures bytes.
+// sparse trust (~20 opinions per node). Rows go in sparse, but each node
+// gossips one dense row of N columns (24 B per column), so memory grows
+// as N^2: the table reports the process's peak RSS next to the peak
+// count of nonzero entries, which no longer measures bytes.
 //
 // Flags: --smoke trims both sweeps to seconds (the CI configuration);
 // --large adds the N = 10,000 variant-4 point (minutes, a few GB);
