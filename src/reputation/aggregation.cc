@@ -274,9 +274,9 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
   DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
   AsyncVectorAggregationResult out;
-  out.estimates =
-      GclrObserverEstimates(trust, tables, std::move(run.rows),
-                            options.denominator, options.gossip.num_threads);
+  out.estimates = GclrObserverEstimates(trust, tables, std::move(run.rows),
+                                        options.denominator,
+                                        options.gossip.num_threads);
   out.stats = run.stats;
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
@@ -295,9 +295,9 @@ Result<VectorAggregationResult> AggregateGclrVector(
   DGT_ASSIGN_OR_RETURN(SparseVectorGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
   VectorAggregationResult out;
-  out.estimates =
-      GclrObserverEstimates(trust, tables, std::move(run.rows),
-                            options.denominator, options.gossip.num_threads);
+  out.estimates = GclrObserverEstimates(trust, tables, std::move(run.rows),
+                                        options.denominator,
+                                        options.gossip.num_threads);
   out.stats = GossipRunStats(run, run.peak_state_nonzeros);
   // Pre-round feedback vectors: one per edge direction.
   out.stats.control_messages += graph.DegreeSum();
