@@ -293,6 +293,16 @@ class SmallNetworkSweep : public ::testing::TestWithParam<SmallNetwork> {
     }
     return cols;
   }
+  // The columns of a final row with y or g nonzero, so a stray y entry
+  // in a column without weight shows.
+  static std::vector<uint32_t> NonzeroCols(
+      const VectorGossipPolicy::Value& row) {
+    std::vector<uint32_t> cols;
+    for (uint32_t j = 0; j < row.g.size(); ++j) {
+      if (row.y[j] != 0.0 || row.g[j] != 0.0) cols.push_back(j);
+    }
+    return cols;
+  }
 };
 
 TEST_P(SmallNetworkSweep, ScalarEnginesConverge) {
@@ -349,15 +359,15 @@ TEST_P(SmallNetworkSweep, SparseEnginesKeepEachColumnsRatio) {
       AsyncSparsePushSum(&g, async_options).Run(OneHotRows(), false);
   ASSERT_TRUE(async.ok()) << async.status().ToString();
   EXPECT_TRUE(async->stats.converged);
-  ASSERT_EQ(async->rows.size(), n());
+  ASSERT_EQ(async->values.size(), n());
 
   for (NodeId i = 0; i < n(); ++i) {
     const std::vector<uint32_t> cols = ExpectedCols(i);
     ASSERT_EQ(WeightedCols(sync->rows[i]), cols) << "node " << i;
-    ASSERT_EQ(WeightedCols(async->rows[i]), cols) << "node " << i;
+    ASSERT_EQ(NonzeroCols(async->values[i]), cols) << "node " << i;
     for (uint32_t j : cols) {
       EXPECT_NEAR(sync->rows[i].y[j] / sync->rows[i].g[j], kY[j], kXi);
-      EXPECT_NEAR(async->rows[i].y[j] / async->rows[i].g[j], kY[j], kXi);
+      EXPECT_NEAR(async->values[i].y[j] / async->values[i].g[j], kY[j], kXi);
     }
   }
 }
