@@ -45,11 +45,7 @@ Result<AsyncSparseGossipResult> AsyncSparsePushSum::Run(
   DGT_RETURN_IF_ERROR(ValidateSparseRows(graph_->num_nodes(), init, use_count));
 
   AsyncEventEngine<VectorGossipPolicy> engine(graph_, options_);
-  DGT_ASSIGN_OR_RETURN(
-      auto out,
-      engine.Run(VectorGossipPolicy::FromSparse(std::move(init), use_count)));
-
-  return AsyncSparseGossipResult{std::move(out.values), out.stats};
+  return engine.Run(VectorGossipPolicy::FromSparse(std::move(init), use_count));
 }
 
 }  // namespace dgt

@@ -52,12 +52,10 @@ class AsyncPushSum {
   AsyncGossipOptions options_;
 };
 
-struct AsyncSparseGossipResult {
-  // Final node-resident state, one dense row per node of N columns (y, g
-  // and, with use_count, c), read as SparseVectorGossipResult::rows.
-  std::vector<VectorGossipPolicy::Value> rows;
-  AsyncEngineStats stats;
-};
+// `values` holds the final node-resident state, one dense row per node of
+// N columns (y, g and, with use_count, c), read as
+// SparseVectorGossipResult::rows.
+using AsyncSparseGossipResult = AsyncEngineResult<VectorGossipPolicy>;
 
 class AsyncSparsePushSum {
  public:

@@ -274,7 +274,7 @@ Result<AsyncVectorAggregationResult> AggregateGclrVectorAsync(
   DGT_ASSIGN_OR_RETURN(AsyncSparseGossipResult run,
                        engine.Run(std::move(init), /*use_count=*/true));
   AsyncVectorAggregationResult out;
-  out.estimates = GclrObserverEstimates(trust, tables, std::move(run.rows),
+  out.estimates = GclrObserverEstimates(trust, tables, std::move(run.values),
                                         options.denominator,
                                         options.gossip.num_threads);
   out.stats = run.stats;

@@ -354,7 +354,7 @@ TEST(EngineGolden, AsyncSparsePushSum) {
       auto r = engine.Run(SparseInit(n, c.use_count), c.use_count);
       ASSERT_TRUE(r.ok()) << r.status().ToString();
       Digest d;
-      for (const VectorGossipPolicy::Value& row : r->rows) {
+      for (const VectorGossipPolicy::Value& row : r->values) {
         // The pinned view: the columns with any channel nonzero.
         SparseVectorRow kept;
         for (uint32_t j = 0; j < n; ++j) {

@@ -85,7 +85,7 @@ TEST(AsyncSparsePolicy, MassConservedPerColumnIncludingLossAndChurnOfFlight) {
   // rows, so per-column sums over all nodes are conserved exactly (up to
   // float accumulation).
   std::vector<double> y_after(n, 0.0), g_after(n, 0.0), c_after(n, 0.0);
-  for (const VectorGossipPolicy::Value& row : r->rows) {
+  for (const VectorGossipPolicy::Value& row : r->values) {
     for (uint32_t j = 0; j < n; ++j) {
       y_after[j] += row.y[j];
       g_after[j] += row.g[j];
@@ -134,9 +134,9 @@ TEST(AsyncSparsePolicy, DenseAndSparsePoliciesBitForBitAgree) {
   EXPECT_EQ(sr->stats.control_messages, dr->stats.control_messages);
   EXPECT_EQ(sr->stats.events, dr->stats.events);
   for (uint32_t i = 0; i < n; ++i) {
-    EXPECT_EQ(sr->rows[i].y, dr->values[i].y) << "node " << i;
-    EXPECT_EQ(sr->rows[i].g, dr->values[i].g) << "node " << i;
-    EXPECT_EQ(sr->rows[i].c, dr->values[i].c) << "node " << i;
+    EXPECT_EQ(sr->values[i].y, dr->values[i].y) << "node " << i;
+    EXPECT_EQ(sr->values[i].g, dr->values[i].g) << "node " << i;
+    EXPECT_EQ(sr->values[i].c, dr->values[i].c) << "node " << i;
   }
 }
 
@@ -173,7 +173,7 @@ TEST(AsyncSparsePolicy, AgreesWithSynchronousEngineOnConvergedValues) {
   double worst_vs_sync = 0.0, worst_vs_truth = 0.0;
   uint32_t compared = 0;
   for (uint32_t i = 0; i < n; ++i) {
-    const VectorGossipPolicy::Value& row = async->rows[i];
+    const VectorGossipPolicy::Value& row = async->values[i];
     const VectorGossipPolicy::Value& sync_row = sync->rows[i];
     for (uint32_t j = 0; j < n; ++j) {
       if (row.g[j] == 0.0) continue;
