@@ -230,6 +230,41 @@ TEST(AsyncEquivalence, ScalarPolicyThreadCountInvariant) {
   }
 }
 
+// Tied event times, where only the heap seq orders a node's events and
+// the seq comes from the canonical commit. Start offsets are random, so
+// zero jitter alone ties nothing; instead the links are so much slower
+// than the time cap that every share sent lands at one instant
+// (t + 1e17 rounds to 1e17 for every t < 8) and each receiver absorbs its
+// shares in seq order. Committing the shard outputs in any other order
+// than ascending owner changes some of the sums.
+TEST(AsyncEquivalence, TiedEventTimesThreadCountInvariant) {
+  const uint32_t n = 48;
+  Graph g = MakePaGraph(n, 2, 34);
+  auto y0 = RandomValues(n, 23);
+  std::vector<double> g0(n, 1.0);
+
+  AsyncGossipOptions o;
+  o.xi = 1e-5;
+  o.seed = 11;
+  o.max_time = 8.0;
+  o.link.backbone_latency = 1e17;
+  o.num_threads = 1;
+  auto base = AsyncPushSum(&g, o).Run(y0, g0);
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  // Nothing arrives before the cap, so no node can converge.
+  ASSERT_FALSE(base->converged);
+
+  for (uint32_t t : kThreadCounts) {
+    o.num_threads = t;
+    auto r = AsyncPushSum(&g, o).Run(y0, g0);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->values, base->values) << "T=" << t;
+    EXPECT_EQ(r->weights, base->weights) << "T=" << t;
+    EXPECT_EQ(r->gossip_messages, base->gossip_messages) << "T=" << t;
+    EXPECT_EQ(r->events, base->events) << "T=" << t;
+  }
+}
+
 TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
   const uint32_t n = 20;
   Graph g = MakePaGraph(n, 2, 36);
@@ -281,11 +316,11 @@ TEST(AsyncEquivalence, VectorAndSparsePoliciesThreadCountInvariant) {
     AsyncSparsePushSum sparse(&g, o);
     auto sr = sparse.Run(sparse_init, /*use_count=*/true);
     ASSERT_TRUE(sr.ok()) << sr.status().ToString();
-    ASSERT_EQ(sr->rows.size(), sparse_base->rows.size());
+    ASSERT_EQ(sr->values.size(), sparse_base->values.size());
     for (uint32_t i = 0; i < n; ++i) {
-      EXPECT_EQ(sr->rows[i].y, sparse_base->rows[i].y) << "T=" << t;
-      EXPECT_EQ(sr->rows[i].g, sparse_base->rows[i].g) << "T=" << t;
-      EXPECT_EQ(sr->rows[i].c, sparse_base->rows[i].c) << "T=" << t;
+      EXPECT_EQ(sr->values[i].y, sparse_base->values[i].y) << "T=" << t;
+      EXPECT_EQ(sr->values[i].g, sparse_base->values[i].g) << "T=" << t;
+      EXPECT_EQ(sr->values[i].c, sparse_base->values[i].c) << "T=" << t;
     }
     EXPECT_EQ(sr->stats.converged, sparse_base->stats.converged) << "T=" << t;
     EXPECT_EQ(sr->stats.sim_time, sparse_base->stats.sim_time) << "T=" << t;
