@@ -1,11 +1,11 @@
-// Event-driven engine throughput and determinism: GCLR variant 4 (sparse
-// vector state) over the asynchronous link-model engine at T ∈ {1, 8}
-// worker threads. The engine is bit-for-bit thread-count invariant, so
-// every count column (events, gossip/control messages, max firings) and
-// the convergence sim-time must be IDENTICAL across the threads rows of
-// one configuration — CI gates them against a committed baseline
-// (ci/bench_baselines/BENCH_async_events.json) where only wall-clock and
-// the derived events/s rate are advisory.
+// Event-driven engine throughput and determinism: GCLR variant 4 (one
+// dense row per node) over the asynchronous link-model engine at
+// T ∈ {1, 8} worker threads. The engine is bit-for-bit thread-count
+// invariant, so every count column (events, gossip/control messages, max
+// firings) and the convergence sim-time must be IDENTICAL across the
+// threads rows of one configuration — CI gates them against a committed
+// baseline (ci/bench_baselines/BENCH_async_events.json) where only
+// wall-clock and the derived events/s rate are advisory.
 //
 // Flags: --smoke trims to the CI configuration; --out_dir=PATH redirects
 // CSV/JSON output (default ./dgt_results, or $DGT_OUT_DIR).
