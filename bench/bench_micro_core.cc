@@ -90,9 +90,11 @@ BENCHMARK(BM_GossipSingleStep)
     ->Args({100000, 8});
 
 void BM_SparseVectorGossipStep(benchmark::State& state) {
-  // Cost of one sparse vector-gossip step over sparse trust state,
-  // isolated via a max_steps=1 run (the per-iteration init copy is
-  // O(nonzeros), the same order as the step itself).
+  // Cost of one vector-gossip step from sparse trust rows, isolated via a
+  // max_steps=1 run. Each run scatters its input into N dense rows of N
+  // columns, so the per-iteration init copy is O(N^2), the same order as
+  // the step's merge (24 bytes per entry with the count channel: 24 MB at
+  // N = 1,000, 96 MB at N = 2,000 per state copy).
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   PaOptions po;
   po.num_nodes = n;
@@ -115,13 +117,14 @@ void BM_SparseVectorGossipStep(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SparseVectorGossipStep)
-    ->Args({10000, 1})
-    ->Args({10000, 8})
-    ->Args({100000, 1})
-    ->Args({100000, 8});
+    ->Args({1000, 1})
+    ->Args({1000, 4})
+    ->Args({2000, 1})
+    ->Args({2000, 4});
 
 void BM_SparseGclrVector(benchmark::State& state) {
-  // Full variant-4 aggregation through the sparse engine.
+  // Full variant-4 aggregation through the vector engine, at perfbench
+  // gclr_sync's shape: N = 1,000, 20 opinions per node, xi = 1e-3.
   const uint32_t n = static_cast<uint32_t>(state.range(0));
   PaOptions po;
   po.num_nodes = n;
@@ -130,7 +133,7 @@ void BM_SparseGclrVector(benchmark::State& state) {
   Graph g = GeneratePreferentialAttachment(po).value();
   TrustMatrix t = bench_util::MakeSparseTrust(n, 20, 11);
   AggregationOptions o;
-  o.gossip.xi = 1e-2;
+  o.gossip.xi = 1e-3;
   o.gossip.num_threads = static_cast<uint32_t>(state.range(1));
   uint64_t seed = 1;
   for (auto _ : state) {
@@ -141,9 +144,9 @@ void BM_SparseGclrVector(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_SparseGclrVector)
-    ->Args({512, 1})
-    ->Args({1024, 1})
-    ->Args({1024, 8});
+    ->Args({1000, 1})
+    ->Args({1000, 2})
+    ->Args({1000, 4});
 
 void BM_TrustMatrixSetGet(benchmark::State& state) {
   TrustMatrix t(10000);

@@ -158,7 +158,7 @@ void VectorGossipPolicy::BeginStep(const StepPlan& plan,
 
 MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
                                        std::vector<Value>& state, Value& out,
-                                       Scratch& inbox) {
+                                       Scratch& inbox, double limit) {
   // Locals, so the hot loop does not reload members through `this`.
   const bool use_count = use_count_;
   const size_t n = state.size();
@@ -192,14 +192,18 @@ MergeOutcome VectorGossipPolicy::Merge(NodeId i, const StepPlan& plan,
       ag += src->g[j] * scale;
       if (use_count) ac += src->c[j] * scale;
     }
-    // eq. (7) terms: ratio term, then count term.
-    m.change +=
-        std::fabs(GossipRatio(ay, ag) - GossipRatio(old.y[j], old.g[j]));
-    if (use_count) {
+    // eq. (7) terms (ratio term, then count term) while the change is at
+    // most `limit`. Every term is >= 0 or NaN, so once the partial sum
+    // passes the limit or turns NaN, the full sum would fail the test too.
+    if (m.change <= limit) {
       m.change +=
-          std::fabs(GossipRatio(ac, ag) - GossipRatio(old.c[j], old.g[j]));
-      out.c[j] = ac;
+          std::fabs(GossipRatio(ay, ag) - GossipRatio(old.y[j], old.g[j]));
+      if (use_count) {
+        m.change +=
+            std::fabs(GossipRatio(ac, ag) - GossipRatio(old.c[j], old.g[j]));
+      }
     }
+    if (use_count) out.c[j] = ac;
     if (ag != 0.0) m.has_weight = true;
     if (ay != 0.0 || ag != 0.0 || ac != 0.0) ++nnz;
     out.y[j] = ay;

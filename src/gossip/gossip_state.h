@@ -24,11 +24,17 @@
 // count-channel switch and bookkeeping):
 //   Scratch — per-shard merge workspace.
 //   BeginStep(plan, stopped) — after push generation.
-//   Merge(i, plan, state, out, scratch) -> MergeOutcome — fold receiver
-//     i's inbox (ascending-sender order) into `out` and measure the change
-//     from i's current state; called concurrently for distinct receivers.
+//   Merge(i, plan, state, out, scratch, limit) -> MergeOutcome — fold
+//     receiver i's inbox (ascending-sender order) into `out` and measure
+//     the change from i's current state, up to `limit`: the caller reads
+//     the change only as `change <= limit`, and the returned change
+//     passes that test exactly when the full change would. A negative
+//     limit means the caller will not read it. Called concurrently for
+//     distinct receivers.
 //   EndStep(plan, stopped) — after every receiver merged, serially.
-// Each Merge keeps the historical engine's arithmetic verbatim.
+// Each Merge keeps the historical engine's arithmetic verbatim: every
+// merged value is the same, and every change term it adds is the
+// historical term, added in the historical order.
 
 #ifndef DGT_GOSSIP_GOSSIP_STATE_H_
 #define DGT_GOSSIP_GOSSIP_STATE_H_
@@ -50,7 +56,10 @@ namespace dgt {
 
 // What a synchronous Merge reports for the convergence-evidence rule.
 struct MergeOutcome {
-  double change = 0.0;      // distance from the node's previous estimate
+  // Distance from the node's previous estimate, measured up to Merge's
+  // limit: the full distance if it is at most the limit, else a partial
+  // sum already past it (or NaN).
+  double change = 0.0;
   bool has_weight = false;  // any gossip weight in the merged state
 };
 
@@ -101,9 +110,10 @@ class ScalarGossipPolicy {
   // Each share is the sender's channel divided by k+1; a kept-self entry
   // carrying bounced pushes adds that share repeatedly (not a multiply).
   // The change is |ratio - previous ratio|, plus the count-channel term.
+  // With at most two terms it is measured in full, whatever the limit.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
-                     const std::vector<Value>& state, Value& out,
-                     Scratch&) const {
+                     const std::vector<Value>& state, Value& out, Scratch&,
+                     double /*limit*/) const {
     double acc_y = 0.0, acc_g = 0.0, acc_c = 0.0;
     for (const PlanEntry& e : plan.inbox[i]) {
       const double denom = static_cast<double>(plan.k_used[e.sender]) + 1.0;
@@ -210,10 +220,13 @@ class VectorGossipPolicy {
   void BeginStep(const StepPlan& plan, const std::vector<uint8_t>& stopped);
   // Folds receiver i's inbox into `out`, a pooled row if one is free:
   // each column sums its inbox rows scaled by shares * 1/(k+1), in inbox
-  // order, and adds its eq. (7) terms to the change. Returns every
-  // previous-step row whose last consumer this merge was to the pool.
+  // order. While the change is at most `limit`, each column then adds its
+  // eq. (7) terms to it; the columns after that merge without forming
+  // ratios. Returns every previous-step row whose last consumer this
+  // merge was to the pool.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
-                     std::vector<Value>& state, Value& out, Scratch& inbox);
+                     std::vector<Value>& state, Value& out, Scratch& inbox,
+                     double limit);
   // Replays the serial receiver-order bookkeeping (merge row i, then
   // release the rows whose last consumer was i) so peak_state_nonzeros is
   // identical at every thread count.

@@ -15,7 +15,9 @@
 //      at merge time; a step where it heard something and moved more
 //      resets the streak; silent steps carry no evidence. A streak of
 //      options.convergence_rounds announces convergence to all
-//      neighbours;
+//      neighbours. The change is measured only where the rule reads it,
+//      at an unconverged receiver that heard from somebody else, and only
+//      as far as the threshold test needs;
 //   C. install — the merged state replaces the previous one (stopped
 //      nodes are frozen: senders bounced instead of delivering to them);
 //   D. force-converge — a node whose neighbours have all stopped can
@@ -135,8 +137,13 @@ class PushSumRun {
         const NodeId i = static_cast<NodeId>(idx);
         if (stopped_[i]) continue;
         ++node_active_steps_[i];
+        // The rule below reads the change only at an unconverged receiver
+        // that heard from somebody else; a negative limit skips measuring
+        // it. Only i's own iteration writes converged_[i].
+        const double limit =
+            !converged_[i] && plan_.senders[i] >= 1 ? threshold_ : -1.0;
         const MergeOutcome m =
-            policy_.Merge(i, plan_, state_, next_[i], scratch);
+            policy_.Merge(i, plan_, state_, next_[i], scratch, limit);
         if (converged_[i]) continue;
         if (plan_.senders[i] >= 1 && m.has_weight) {
           streak_[i] = m.change <= threshold_ ? streak_[i] + 1 : 0;

@@ -78,10 +78,11 @@ class DenseVectorPolicy {
   void EndStep(const StepPlan&, const std::vector<uint8_t>&) {}
 
   // Sums shares * 1/(k+1) of every sender's whole vector, then eq. (7)
-  // over all N columns (ratio term, then count term, per column).
+  // over all N columns (ratio term, then count term, per column), whatever
+  // the limit: the oracle always measures the full change.
   MergeOutcome Merge(NodeId i, const StepPlan& plan,
-                     const std::vector<Value>& state, Value& out,
-                     Scratch&) const {
+                     const std::vector<Value>& state, Value& out, Scratch&,
+                     double /*limit*/) const {
     const size_t n = state.size();
     out.y.assign(n, 0.0);
     out.g.assign(n, 0.0);

@@ -1,5 +1,9 @@
 #include "gossip/sparse_vector_engine.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <numeric>
 #include <vector>
 
@@ -19,6 +23,8 @@
 namespace dgt {
 namespace {
 
+using testing_util::DenseValues;
+using testing_util::DenseVectorPolicy;
 using testing_util::Densify;
 using testing_util::MakePaGraph;
 using testing_util::SparseFromDense;
@@ -145,6 +151,138 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
     for (const VectorGossipPolicy::Value& row : state) {
       ASSERT_GT(row.g[j], 0.0) << "column " << j;
       EXPECT_NEAR(row.y[j] / row.g[j], col_sum[j] / n, 0.05);
+    }
+  }
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (double x : v) out.push_back(Bits(x));
+  return out;
+}
+
+// One hand-built step of three nodes, merged receiver by receiver through
+// VectorGossipPolicy with one limit for every receiver.
+struct LimitedStep {
+  std::vector<VectorGossipPolicy::Value> out;
+  std::vector<MergeOutcome> m;
+  uint64_t peak_nnz = 0;
+};
+
+LimitedStep RunLimitedStep(const std::vector<SparseVectorRow>& init,
+                           bool use_count, const StepPlan& plan,
+                           double limit) {
+  VectorGossipPolicy policy(init, use_count);
+  std::vector<VectorGossipPolicy::Value> state =
+      VectorGossipPolicy::FromSparse(init, use_count);
+  const std::vector<uint8_t> stopped(init.size(), 0);
+  LimitedStep step;
+  step.out.resize(init.size());
+  VectorGossipPolicy::Scratch scratch;
+  policy.BeginStep(plan, stopped);
+  for (NodeId i = 0; i < init.size(); ++i) {
+    step.m.push_back(
+        policy.Merge(i, plan, state, step.out[i], scratch, limit));
+  }
+  policy.EndStep(plan, stopped);
+  step.peak_nnz = policy.peak_state_nonzeros();
+  return step;
+}
+
+TEST(VectorEngineTest, MergeLimitKeepsEveryDecisionAndValue) {
+  // Every node keeps one share and pushes one (k = 1, so each share is
+  // exactly half a row): receiver 0 merges rows 0 and 1, receiver 1 rows
+  // 1 and 2, receiver 2 rows 0 and 2.
+  StepPlan plan;
+  plan.Reset(3);
+  plan.inbox[0] = {{0, 1}, {1, 1}};
+  plan.inbox[1] = {{1, 1}, {2, 1}};
+  plan.inbox[2] = {{0, 1}, {2, 1}};
+  plan.k_used = {1, 1, 1};
+  plan.senders = {1, 1, 1};
+  plan.pushes = 3;
+  // Every ratio and term is an exact binary fraction, so each partial sum
+  // of the change is exact: receiver 0's terms, ratio then count term per
+  // column, are 1/8, 1/2, 1/4, 1/2, 1/8, 1/2.
+  const std::vector<std::vector<double>> y = {
+      {0.5, 0.25, 0.75}, {0.25, 0.75, 0.5}, {1.0, 0.5, 0.125}};
+  const std::vector<std::vector<double>> c = {
+      {1.0, 0.0, 2.0}, {0.0, 1.0, 1.0}, {2.0, 2.0, 0.0}};
+  // In the NaN column rows 0 and 1 hold y = 1 over a denormal g, so
+  // receiver 0's merged and previous ratios are both +inf and its term is
+  // inf - inf = NaN.
+  const double denormal_g = std::ldexp(1.0, -1070);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const int nan_column : {-1, 0, 2}) {
+    for (const bool use_count : {false, true}) {
+      SCOPED_TRACE(::testing::Message() << "NaN column " << nan_column
+                                        << ", use_count " << use_count);
+      auto ym = y;
+      auto gm = Matrix(3, 1.0);
+      if (nan_column >= 0) {
+        for (const int r : {0, 1}) {
+          ym[r][nan_column] = 1.0;
+          gm[r][nan_column] = denormal_g;
+        }
+      }
+      const auto cm = use_count ? c : std::vector<std::vector<double>>();
+      const std::vector<SparseVectorRow> init = SparseFromDense(ym, gm, cm);
+
+      // The oracle sums every column; the partial sums follow its order.
+      DenseVectorPolicy oracle(use_count);
+      const auto dense = DenseValues(ym, gm, cm);
+      DenseVectorPolicy::Scratch oracle_scratch;
+      std::vector<double> full, limits = {-1.0, inf};
+      for (NodeId i = 0; i < 3; ++i) {
+        DenseVectorPolicy::Value merged;
+        full.push_back(
+            oracle.Merge(i, plan, dense, merged, oracle_scratch, -1.0).change);
+        limits.push_back(full.back());
+        double partial = 0.0;
+        for (size_t j = 0; j < 3; ++j) {
+          partial += std::fabs(DenseVectorPolicy::Ratio(merged.y[j],
+                                                        merged.g[j]) -
+                               DenseVectorPolicy::Ratio(dense[i].y[j],
+                                                        dense[i].g[j]));
+          limits.push_back(partial);
+          if (!use_count) continue;
+          partial += std::fabs(DenseVectorPolicy::Ratio(merged.c[j],
+                                                        merged.g[j]) -
+                               DenseVectorPolicy::Ratio(dense[i].c[j],
+                                                        dense[i].g[j]));
+          limits.push_back(partial);
+        }
+        EXPECT_EQ(Bits(partial), Bits(full.back())) << "receiver " << i;
+      }
+      if (nan_column < 0) {
+        EXPECT_EQ(full[0], use_count ? 2.0 : 0.5);
+      } else {
+        EXPECT_TRUE(std::isnan(full[0]));
+      }
+
+      const LimitedStep all = RunLimitedStep(init, use_count, plan, inf);
+      for (NodeId i = 0; i < 3; ++i) {
+        EXPECT_EQ(Bits(all.m[i].change), Bits(full[i])) << "receiver " << i;
+      }
+      for (const double limit : limits) {
+        SCOPED_TRACE(::testing::Message() << "limit " << limit);
+        const LimitedStep step = RunLimitedStep(init, use_count, plan, limit);
+        EXPECT_EQ(step.peak_nnz, all.peak_nnz);
+        for (NodeId i = 0; i < 3; ++i) {
+          EXPECT_EQ(step.m[i].change <= limit, full[i] <= limit)
+              << "receiver " << i << ", change " << step.m[i].change;
+          EXPECT_EQ(step.m[i].has_weight, all.m[i].has_weight);
+          EXPECT_EQ(Bits(step.out[i].y), Bits(all.out[i].y));
+          EXPECT_EQ(Bits(step.out[i].g), Bits(all.out[i].g));
+          EXPECT_EQ(Bits(step.out[i].c), Bits(all.out[i].c));
+        }
+      }
     }
   }
 }
