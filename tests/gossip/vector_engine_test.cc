@@ -156,7 +156,7 @@ TEST(VectorEngineTest, MassConservedPerColumn) {
 }
 
 uint64_t Bits(double v) {
-  uint64_t bits;
+  uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof bits);
   return bits;
 }
